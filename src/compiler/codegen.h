@@ -29,10 +29,11 @@ namespace etch {
 /// Where one level of output goes. Exactly one member is set:
 /// \c Accum at the scalar base case, \c Locate at stream levels.
 /// Locate returns (code to run before descending, the sub-destination,
-/// code to run after the inner level completes).
+/// code to run after the inner level completes); temporaries it needs are
+/// named by the compiling program's generator.
 struct Dest {
   std::function<PRef(ERef Value)> Accum;
-  std::function<std::tuple<PRef, Dest, PRef>(ERef Index)> Locate;
+  std::function<std::tuple<PRef, Dest, PRef>(NameGen &G, ERef Index)> Locate;
 
   /// Names the caller reads back after execution (the destination's output
   /// scalar/arrays, including any position counter). The optimization
@@ -71,11 +72,13 @@ Dest hashDest(const ScalarAlgebra &Alg, std::string KeyArr,
               std::string ValArr, std::string CntVar, int64_t TabSize);
 
 /// Compiles a full stream into \p D (Figure 15): declarations, init, then
-/// the level loop; contracted levels reuse the same destination.
-PRef compileStream(const Dest &D, const SynRef &S);
+/// the level loop; contracted levels reuse the same destination. Skip
+/// latches and destination temporaries are named by \p G (the lowering's
+/// generator), so equal programs get equal names.
+PRef compileStream(NameGen &G, const Dest &D, const SynRef &S);
 
 /// Compiles a value (stream or scalar) into \p D — the paper's `compile`.
-PRef compileValue(const Dest &D, const SynValue &V);
+PRef compileValue(NameGen &G, const Dest &D, const SynValue &V);
 
 } // namespace etch
 

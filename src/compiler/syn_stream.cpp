@@ -63,11 +63,10 @@ SynRef cloneWith(const SynRef &S,
 /// Snapshots \p Target into a fresh temporary before running \p Skip: skip
 /// loops mutate the state the index expression reads, so the target must
 /// be latched first.
-PRef skipWithSnapshot(const std::function<PRef(ERef)> &Skip, ERef Target) {
-  static int Counter = 0;
-  std::string T = "skt" + std::to_string(Counter++);
+PRef skipWithSnapshot(NameGen &G, const SkipFn &Skip, ERef Target) {
+  std::string T = G.fresh("skt");
   return PStmt::seq2(PStmt::declVar(T, ImpType::I64, std::move(Target)),
-                     Skip(eVarI(T)));
+                     Skip(G, eVarI(T)));
 }
 
 /// Wraps one level in Σ: same iteration, dummy index, skip at own index
@@ -77,8 +76,12 @@ SynRef contractNode(const SynRef &S) {
   return cloneWith(S, [&](SynStream &C) {
     C.Contracted = true;
     C.Index = eConstI(0);
-    C.Skip0 = [S](ERef) { return skipWithSnapshot(S->Skip0, S->Index); };
-    C.Skip1 = [S](ERef) { return skipWithSnapshot(S->Skip1, S->Index); };
+    C.Skip0 = [S](NameGen &G, ERef) {
+      return skipWithSnapshot(G, S->Skip0, S->Index);
+    };
+    C.Skip1 = [S](NameGen &G, ERef) {
+      return skipWithSnapshot(G, S->Skip1, S->Index);
+    };
   });
 }
 
@@ -129,11 +132,11 @@ SynRef etch::synSparse(NameGen &G, const std::string &CrdArr, ERef Begin,
   S->Ready = S->Valid;
   S->Index = EExpr::access(CrdArr, ImpType::I64, eVarI(P));
   S->Value = MakeValue(eVarI(P));
-  S->Skip0 = [=](ERef I) {
+  S->Skip0 = [=](NameGen &, ERef I) {
     return emitSearch(CrdArr, P, E, Lo, Hi, Mid, Policy, std::move(I),
                       /*Strict=*/false);
   };
-  S->Skip1 = [=](ERef I) {
+  S->Skip1 = [=](NameGen &, ERef I) {
     return emitSearch(CrdArr, P, E, Lo, Hi, Mid, Policy, std::move(I),
                       /*Strict=*/true);
   };
@@ -169,7 +172,7 @@ SynRef etch::synHashed(NameGen &G, const std::string &CrdArr, ERef Begin,
   // (plus one when strict) — max() keeps the cursor monotone. On a miss,
   // the snapshot is sorted, so the policy search finds the bound.
   auto MakeSkip = [=](bool Strict) {
-    return [=](ERef I) {
+    return [=](NameGen &, ERef I) {
       auto KeyAt = [&] {
         return EExpr::access(KeyArr, ImpType::I64, eVarI(H));
       };
@@ -212,10 +215,10 @@ SynRef etch::synDense(NameGen &G, ERef Size,
   S->Ready = S->Valid;
   S->Index = eVarI(I);
   S->Value = MakeValue(eVarI(I));
-  S->Skip0 = [I](ERef J) {
+  S->Skip0 = [I](NameGen &, ERef J) {
     return PStmt::storeVar(I, eMaxI(eVarI(I), std::move(J)));
   };
-  S->Skip1 = [I](ERef J) {
+  S->Skip1 = [I](NameGen &, ERef J) {
     return PStmt::storeVar(I, eMaxI(eVarI(I), eAddI(std::move(J),
                                                     eConstI(1))));
   };
@@ -245,11 +248,11 @@ SynRef etch::synMul(NameGen &G, const ScalarAlgebra &Alg, const SynRef &A,
   else
     S->Value = SynValue{nullptr, synMul(G, Alg, A->Value.Inner,
                                         B->Value.Inner)};
-  S->Skip0 = [A, B](ERef I) {
-    return PStmt::seq2(A->Skip0(I), B->Skip0(I));
+  S->Skip0 = [A, B](NameGen &G, ERef I) {
+    return PStmt::seq2(A->Skip0(G, I), B->Skip0(G, I));
   };
-  S->Skip1 = [A, B](ERef I) {
-    return PStmt::seq2(A->Skip1(I), B->Skip1(I));
+  S->Skip1 = [A, B](NameGen &G, ERef I) {
+    return PStmt::seq2(A->Skip1(G, I), B->Skip1(G, I));
   };
   return S;
 }
@@ -258,11 +261,11 @@ SynRef etch::synMask(const SynRef &S, ERef Cond) {
   auto C = std::make_shared<SynStream>(*S);
   C->Init = PStmt::branch(Cond, S->Init, PStmt::noop());
   C->Valid = eAnd(Cond, S->Valid);
-  C->Skip0 = [S, Cond](ERef I) {
-    return PStmt::branch(Cond, S->Skip0(std::move(I)), PStmt::noop());
+  C->Skip0 = [S, Cond](NameGen &G, ERef I) {
+    return PStmt::branch(Cond, S->Skip0(G, std::move(I)), PStmt::noop());
   };
-  C->Skip1 = [S, Cond](ERef I) {
-    return PStmt::branch(Cond, S->Skip1(std::move(I)), PStmt::noop());
+  C->Skip1 = [S, Cond](NameGen &G, ERef I) {
+    return PStmt::branch(Cond, S->Skip1(G, std::move(I)), PStmt::noop());
   };
   return C;
 }
@@ -305,15 +308,15 @@ SynRef etch::synAdd(NameGen &G, const ScalarAlgebra &Alg, const SynRef &A,
                                         synMask(A->Value.Inner, EmitA),
                                         synMask(B->Value.Inner, EmitB))};
   }
-  S->Skip0 = [A, B](ERef I) {
+  S->Skip0 = [A, B](NameGen &G, ERef I) {
     return PStmt::seq2(
-        PStmt::branch(A->Valid, A->Skip0(I), PStmt::noop()),
-        PStmt::branch(B->Valid, B->Skip0(I), PStmt::noop()));
+        PStmt::branch(A->Valid, A->Skip0(G, I), PStmt::noop()),
+        PStmt::branch(B->Valid, B->Skip0(G, I), PStmt::noop()));
   };
-  S->Skip1 = [A, B](ERef I) {
+  S->Skip1 = [A, B](NameGen &G, ERef I) {
     return PStmt::seq2(
-        PStmt::branch(A->Valid, A->Skip1(I), PStmt::noop()),
-        PStmt::branch(B->Valid, B->Skip1(I), PStmt::noop()));
+        PStmt::branch(A->Valid, A->Skip1(G, I), PStmt::noop()),
+        PStmt::branch(B->Valid, B->Skip1(G, I), PStmt::noop()));
   };
   return S;
 }

@@ -41,6 +41,11 @@ struct VarDecl {
 };
 
 class SynStream;
+/// Code advancing a level's state to an index bound. Skips that need
+/// temporaries (contracted levels latch their target) draw the names from
+/// the caller's generator, so a program's names depend only on the
+/// program, never on what was lowered before it in the process.
+using SkipFn = std::function<PRef(NameGen &G, ERef I)>;
 using SynRef = std::shared_ptr<const SynStream>;
 
 /// A stream's value: exactly one of a scalar expression or a nested stream.
@@ -62,8 +67,8 @@ public:
   ERef Index;
   bool Contracted = false;
   SynValue Value;
-  std::function<PRef(ERef)> Skip0; ///< Advance to first index >= i.
-  std::function<PRef(ERef)> Skip1; ///< Advance to first index > i.
+  SkipFn Skip0; ///< Advance to first index >= i.
+  SkipFn Skip1; ///< Advance to first index > i.
 
   SynStream() = default;
 };

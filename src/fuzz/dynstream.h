@@ -144,11 +144,6 @@ template <Semiring S>
 using DynStream = std::variant<std::monostate, Erased<S, 1>, Erased<S, 2>,
                                Erased<S, 3>, Erased<S, 4>>;
 
-/// Total levels of a DynStream (0 for the empty monostate).
-template <Semiring S> int dynDepth(const DynStream<S> &Q) {
-  return static_cast<int>(Q.index());
-}
-
 /// The runtime contracted-level mask.
 template <Semiring S> uint32_t dynMask(const DynStream<S> &Q) {
   return std::visit(

@@ -8,132 +8,105 @@
 
 #include "compiler/bytecode.h"
 #include "compiler/frontend.h"
-#include "compiler/imp.h"
 #include "compiler/jit.h"
 #include "compiler/vm.h"
-#include "core/eval.h"
-#include "core/semiring.h"
-#include "formats/csf.h"
-#include "formats/matrices.h"
-#include "formats/vectors.h"
 #include "fuzz/dynstream.h"
+#include "fuzz/legs.h"
+#include "ivm/deltafuzz.h"
 #include "support/assert.h"
 
-#include <cmath>
-#include <cstring>
-#include <map>
-#include <optional>
+#include <algorithm>
 #include <sstream>
-#include <string>
+#include <type_traits>
 
 using namespace etch;
 
 namespace {
 
-/// Leaf storage element: the semiring's value type, except the boolean
-/// semiring which stores uint8_t indicators (std::vector<bool> has no
-/// data() to stream over).
-template <Semiring S>
-using StoreT = std::conditional_t<std::is_same_v<typename S::Value, bool>,
-                                  uint8_t, typename S::Value>;
+/// Packs \p T's (sorted, distinct, validated) entries into the level
+/// composition \p Kinds. The fromCoo builders are deliberately not used:
+/// their canonicalization drops values equal to `V()`, which is the
+/// additive identity for (+,*) semirings but a perfectly meaningful value
+/// under (min,+), where the zero is +inf.
+template <Semiring S, size_t R>
+LevelPack<FuzzStoreT<S>, R> pack(const FuzzCase &C, const FuzzTensor &T,
+                                 const std::array<LevelKind, R> &Kinds) {
+  std::array<Idx, R> Extents;
+  for (size_t L = 0; L < R; ++L)
+    Extents[L] = C.dimOf(T.Shp[L]);
+  std::vector<std::pair<std::array<Idx, R>, FuzzStoreT<S>>> Entries;
+  for (const FuzzEntry &En : T.Entries) {
+    std::array<Idx, R> Tu;
+    std::copy(En.Coords.begin(), En.Coords.end(), Tu.begin());
+    Entries.push_back({Tu, static_cast<FuzzStoreT<S>>(fuzzValue<S>(En.Val))});
+  }
+  return packLevels<FuzzStoreT<S>, R>(Kinds, Extents, Entries);
+}
 
-/// All of a case's tensors materialized into real format storage. Hv is
-/// only populated by the formats matrix (addHashed): every sparse-vector
-/// tensor re-materialized as a hashed coordinate level.
-template <Semiring S> struct Mats {
-  using V = StoreT<S>;
-  std::map<std::string, SparseVector<V>> Sv;
-  std::map<std::string, DenseVector<V>> Dv;
-  std::map<std::string, CsrMatrix<V>> Csr;
-  std::map<std::string, DcsrMatrix<V>> Dcsr;
-  std::map<std::string, CsfTensor3<V>> Csf;
-  std::map<std::string, HashedVector<V>> Hv;
-};
-
-/// Builds format arrays directly from the (sorted, distinct, validated)
-/// case entries. The fromCoo builders are deliberately not used: their
-/// canonicalization drops values equal to `V()`, which is the additive
-/// identity for (+,*) semirings but a perfectly meaningful value under
-/// (min,+), where the zero is +inf.
-template <Semiring S> Mats<S> materialize(const FuzzCase &C) {
-  using V = StoreT<S>;
-  Mats<S> M;
-  auto Conv = [](double Raw) { return static_cast<V>(fuzzValue<S>(Raw)); };
+template <Semiring S> FuzzStorage<S> materialize(const FuzzCase &C) {
+  using V = FuzzStoreT<S>;
+  constexpr LevelKind Dn = LevelKind::Dense, Cm = LevelKind::Compressed;
+  FuzzStorage<S> M;
   for (const FuzzTensor &T : C.Tensors) {
-    const auto &E = T.Entries;
     switch (T.Fmt) {
     case FuzzFormat::SparseVec: {
+      // Also as a hashed level: probe-table inserts, then a frozen sorted
+      // snapshot. Entries are distinct, so the snapshot holds exactly the
+      // case data, bit-identical to the SparseVector layout.
       SparseVector<V> X(C.dimOf(T.Shp[0]));
-      for (const FuzzEntry &En : E)
-        X.push(En.Coords[0], Conv(En.Val));
+      HashedVector<V> H(X.Size, T.Entries.size());
+      for (const FuzzEntry &En : T.Entries) {
+        X.push(En.Coords[0], static_cast<V>(fuzzValue<S>(En.Val)));
+        H.accumulate(En.Coords[0], static_cast<V>(fuzzValue<S>(En.Val)));
+      }
+      H.freeze();
       M.Sv.emplace(T.Name, std::move(X));
+      M.Hv.emplace(T.Name, std::move(H));
       break;
     }
     case FuzzFormat::DenseVec: {
       // Unset positions hold the semiring zero, not V() (again: +inf under
       // (min,+)).
       DenseVector<V> X(C.dimOf(T.Shp[0]), static_cast<V>(S::zero()));
-      for (const FuzzEntry &En : E)
-        X.Val[static_cast<size_t>(En.Coords[0])] = Conv(En.Val);
+      for (const FuzzEntry &En : T.Entries)
+        X.Val[static_cast<size_t>(En.Coords[0])] =
+            static_cast<V>(fuzzValue<S>(En.Val));
       M.Dv.emplace(T.Name, std::move(X));
       break;
     }
     case FuzzFormat::Csr: {
-      Idx Rows = C.dimOf(T.Shp[0]);
-      CsrMatrix<V> X(Rows, C.dimOf(T.Shp[1]));
-      size_t Q = 0;
-      for (Idx R = 0; R < Rows; ++R) {
-        X.Pos[static_cast<size_t>(R)] = X.Crd.size();
-        while (Q < E.size() && E[Q].Coords[0] == R) {
-          X.Crd.push_back(E[Q].Coords[1]);
-          X.Val.push_back(Conv(E[Q].Val));
-          ++Q;
-        }
-      }
-      X.Pos[static_cast<size_t>(Rows)] = X.Crd.size();
+      auto P = pack<S, 2>(C, T, {Dn, Cm});
+      CsrMatrix<V> X(C.dimOf(T.Shp[0]), C.dimOf(T.Shp[1]));
+      X.Pos = std::move(P.Pos[1]);
+      X.Crd = std::move(P.Crd[1]);
+      X.Val = std::move(P.Val);
       M.Csr.emplace(T.Name, std::move(X));
       break;
     }
     case FuzzFormat::Dcsr: {
+      auto P = pack<S, 2>(C, T, {Cm, Cm});
       DcsrMatrix<V> X;
       X.NumRows = C.dimOf(T.Shp[0]);
       X.NumCols = C.dimOf(T.Shp[1]);
-      X.Pos.push_back(0);
-      for (size_t Q = 0; Q < E.size();) {
-        Idx R = E[Q].Coords[0];
-        X.RowCrd.push_back(R);
-        while (Q < E.size() && E[Q].Coords[0] == R) {
-          X.Crd.push_back(E[Q].Coords[1]);
-          X.Val.push_back(Conv(E[Q].Val));
-          ++Q;
-        }
-        X.Pos.push_back(X.Crd.size());
-      }
+      X.RowCrd = std::move(P.Crd[0]);
+      X.Pos = std::move(P.Pos[1]);
+      X.Crd = std::move(P.Crd[1]);
+      X.Val = std::move(P.Val);
       M.Dcsr.emplace(T.Name, std::move(X));
       break;
     }
     case FuzzFormat::Csf3: {
+      auto P = pack<S, 3>(C, T, {Cm, Cm, Cm});
       CsfTensor3<V> X;
       X.DimI = C.dimOf(T.Shp[0]);
       X.DimJ = C.dimOf(T.Shp[1]);
       X.DimK = C.dimOf(T.Shp[2]);
-      X.Pos0.push_back(0);
-      for (size_t Q = 0; Q < E.size();) {
-        Idx I = E[Q].Coords[0];
-        X.Crd0.push_back(I);
-        while (Q < E.size() && E[Q].Coords[0] == I) {
-          Idx J = E[Q].Coords[1];
-          X.Crd1.push_back(J);
-          X.Pos1.push_back(X.Crd2.size());
-          while (Q < E.size() && E[Q].Coords[0] == I && E[Q].Coords[1] == J) {
-            X.Crd2.push_back(E[Q].Coords[2]);
-            X.Val.push_back(Conv(E[Q].Val));
-            ++Q;
-          }
-        }
-        X.Pos0.push_back(X.Crd1.size());
-      }
-      X.Pos1.push_back(X.Crd2.size());
+      X.Crd0 = std::move(P.Crd[0]);
+      X.Pos0 = std::move(P.Pos[1]);
+      X.Crd1 = std::move(P.Crd[1]);
+      X.Pos1 = std::move(P.Pos[2]);
+      X.Crd2 = std::move(P.Crd[2]);
+      X.Val = std::move(P.Val);
       M.Csf.emplace(T.Name, std::move(X));
       break;
     }
@@ -142,25 +115,8 @@ template <Semiring S> Mats<S> materialize(const FuzzCase &C) {
   return M;
 }
 
-/// Re-materializes every sparse-vector tensor as a hashed coordinate level
-/// (insertion via the probe table, then a frozen sorted snapshot). Entries
-/// are distinct, so accumulate never merges — the snapshot holds exactly
-/// the case data, bit-identical to the SparseVector layout.
-template <Semiring S> void addHashed(Mats<S> &M, const FuzzCase &C) {
-  using V = StoreT<S>;
-  for (const FuzzTensor &T : C.Tensors) {
-    if (T.Fmt != FuzzFormat::SparseVec)
-      continue;
-    HashedVector<V> H(C.dimOf(T.Shp[0]), T.Entries.size());
-    for (const FuzzEntry &En : T.Entries)
-      H.accumulate(En.Coords[0], static_cast<V>(fuzzValue<S>(En.Val)));
-    H.freeze();
-    M.Hv.emplace(T.Name, std::move(H));
-  }
-}
-
 //===----------------------------------------------------------------------===//
-// Oracle
+// Oracle and dispatch
 //===----------------------------------------------------------------------===//
 
 /// Materializes every dense (expand-produced) attribute of \p R over its
@@ -187,82 +143,52 @@ KRelation<S> densifyAll(KRelation<S> R, const FuzzCase &C) {
   return R;
 }
 
-//===----------------------------------------------------------------------===//
-// Comparison and reporting
-//===----------------------------------------------------------------------===//
-
-/// Scalar agreement. Exact for i64/bool and for (min,+) — min and + of the
-/// generator's dyadic-rational values re-associate exactly — and within a
-/// scaled tolerance for f64, whose parallel and compiled legs re-associate
-/// sums. Note KRelation::approxEquals is NOT usable for (min,+): its scaled
-/// tolerance is infinite against the +inf zero of missing entries.
-template <Semiring S> bool valEq(typename S::Value A, typename S::Value B) {
-  if (A == B)
-    return true;
-  if constexpr (std::is_same_v<S, F64Semiring>) {
-    double Scale = std::max({1.0, std::fabs(A), std::fabs(B)});
-    return std::fabs(A - B) <= 1e-9 * Scale;
-  } else {
-    return false;
-  }
+template <Semiring S> ValueContext<S> inputsOf(const FuzzCase &C) {
+  ValueContext<S> Inputs;
+  for (const FuzzTensor &T : C.Tensors)
+    Inputs.emplace(T.Name, fuzzTensorRelation<S>(T));
+  return Inputs;
 }
 
 template <Semiring S>
-bool relEq(const KRelation<S> &A, const KRelation<S> &B) {
-  if constexpr (std::is_same_v<S, F64Semiring>)
-    return A.approxEquals(B);
+FuzzOracle<S> oracleOf(const FuzzCase &C, const ValueContext<S> &Inputs) {
+  FuzzOracle<S> O;
+  O.Want = densifyAll<S>(evalT<S>(C.E, Inputs), C);
+  for (const auto &[Tu, V] : O.Want.entries())
+    O.Total = S::add(O.Total, V);
+  return O;
+}
+
+/// Validates \p C and runs \p F(std::type_identity<S>{}, typing) under the
+/// case's semiring S. Returns why the case is invalid, or nullopt once F
+/// has run.
+template <class Fn>
+std::optional<std::string> withTypedCase(const FuzzCase &C, Fn &&F) {
+  std::string Err;
+  std::optional<FuzzTyping> Ty = fuzzValidate(C, &Err);
+  if (!Ty)
+    return Err;
+  if (C.SemiringName == "f64")
+    F(std::type_identity<F64Semiring>{}, *Ty);
+  else if (C.SemiringName == "i64")
+    F(std::type_identity<I64Semiring>{}, *Ty);
+  else if (C.SemiringName == "bool")
+    F(std::type_identity<BoolSemiring>{}, *Ty);
+  else if (C.SemiringName == "minplus")
+    F(std::type_identity<MinPlusSemiring>{}, *Ty);
   else
-    return A.equals(B);
+    return "unknown semiring '" + C.SemiringName + "'";
+  return std::nullopt;
 }
 
-template <Semiring S> std::string valStr(typename S::Value V) {
-  std::ostringstream Os;
-  if constexpr (std::is_same_v<typename S::Value, bool>)
-    Os << (V ? "true" : "false");
-  else
-    Os << V;
-  return Os.str();
-}
-
-std::string cap(std::string Str, size_t Max = 2000) {
-  if (Str.size() > Max) {
-    Str.resize(Max);
-    Str += " ...";
-  }
-  return Str;
-}
-
-void reportDiv(FuzzReport &Rep, const FuzzCase &C, std::string Leg,
-               const std::string &Detail) {
-  Rep.Divs.push_back(
-      FuzzDivergence{std::move(Leg), cap(C.summary() + "\n" + Detail)});
-}
-
-template <Semiring S>
-std::string relDetail(const KRelation<S> &Want, const KRelation<S> &Got) {
-  return "want: " + Want.toString() + "\n got: " + Got.toString();
-}
-
-template <Semiring S>
-std::string valDetail(typename S::Value Want, typename S::Value Got) {
-  return "want: " + valStr<S>(Want) + "  got: " + valStr<S>(Got);
-}
+//===----------------------------------------------------------------------===//
+// The streams leg
+//===----------------------------------------------------------------------===//
 
 const char *policyName(SearchPolicy P) {
-  switch (P) {
-  case SearchPolicy::Linear:
-    return "linear";
-  case SearchPolicy::Binary:
-    return "binary";
-  case SearchPolicy::Gallop:
-    return "gallop";
-  }
-  ETCH_UNREACHABLE("unknown search policy");
+  constexpr const char *Names[] = {"linear", "binary", "gallop"};
+  return Names[static_cast<size_t>(P)];
 }
-
-//===----------------------------------------------------------------------===//
-// Runtime-stream legs
-//===----------------------------------------------------------------------===//
 
 /// Builds the type-erased runtime stream for an expression, mirroring the
 /// placement discipline fuzzValidate derives (and the compiler lowers):
@@ -270,7 +196,7 @@ const char *policyName(SearchPolicy P) {
 /// repeat level at the shallowest slot after `attrsBefore` indexed levels.
 template <Semiring S, SearchPolicy P> struct StreamBuilder {
   const FuzzCase &C;
-  const Mats<S> &M;
+  const FuzzStorage<S> &M;
   bool Hashed1D = false; ///< Sparse vectors stream from M.Hv, not M.Sv.
 
   struct Res {
@@ -364,90 +290,90 @@ template <Semiring S, SearchPolicy P> struct StreamBuilder {
   }
 };
 
+/// The runtime-stream realizations under one search policy, each held to
+/// the oracle: the mask-aware evaluation, evalStream (nothing contracted),
+/// sumAll, and the parallel drivers (outermost level indexed).
 template <Semiring S, SearchPolicy P>
-void runStreamLegs(const FuzzCase &C, const FuzzTyping &Ty, const Mats<S> &M,
-                   ThreadPool &Pool, const KRelation<S> &Want,
-                   typename S::Value WantTotal, FuzzReport &Rep,
-                   bool Hashed1D = false) {
+void streamRealizations(const FuzzTypedCase<S> &Ctx, const FuzzStorage<S> &M,
+                        bool Hashed1D, FuzzRealizations<S> &Out) {
+  const FuzzCase &C = Ctx.C;
   std::string Tag = std::string(Hashed1D ? "hstream/" : "stream/") +
                     policyName(P);
   StreamBuilder<S, P> B{C, M, Hashed1D};
   auto R = B.build(C.E);
-  ETCH_ASSERT(R.Sig == Ty.Sig, "builder and validator signatures agree");
+  ETCH_ASSERT(R.Sig == Ctx.Ty.Sig, "builder and validator signatures agree");
   uint32_t Mask = fuzzMaskOf(R.Sig);
   ETCH_ASSERT(Mask == dynMask<S>(R.Q), "mask bookkeeping agrees");
   Shape OutSh = fuzzIndexedShape(R.Sig);
 
-  // Mask-aware evaluation (every case).
-  KRelation<S> Got = dynEval<S>(R.Q, OutSh);
-  if (!relEq<S>(Got, Want))
-    reportDiv(Rep, C, Tag + "/eval", relDetail<S>(Want, Got));
-
-  // The library's own evalStream, sound when nothing is contracted.
-  if (Mask == 0) {
-    KRelation<S> Got2 = std::visit(
-        [&OutSh](const auto &E) -> KRelation<S> {
+  auto Add = [&](const std::string &Leg, auto Got) {
+    FuzzRealization<S> X;
+    X.Tag = Tag + Leg;
+    X.Checks = FuzzCheckOracle;
+    if constexpr (std::is_same_v<decltype(Got), KRelation<S>>)
+      X.Rel = std::move(Got);
+    else
+      X.Total = Got;
+    Out.push_back(std::move(X));
+  };
+  // The library's own evalStream / parallelEvalStream, sound when nothing
+  // is contracted.
+  auto EvalStream = [&](const auto &Eval) {
+    return std::visit(
+        [&](const auto &E) -> KRelation<S> {
           using T = std::decay_t<decltype(E)>;
           if constexpr (std::is_same_v<T, std::monostate>)
             ETCH_UNREACHABLE("evaluation of an empty stream");
           else
-            return evalStream<S>(E, OutSh);
+            return Eval(E);
         },
         R.Q);
-    if (!relEq<S>(Got2, Want))
-      reportDiv(Rep, C, Tag + "/evalStream", relDetail<S>(Want, Got2));
-  }
+  };
 
-  // The library's sumAll (sound for any mask).
-  typename S::Value Tot = dynSumAll<S>(R.Q);
-  if (!valEq<S>(Tot, WantTotal))
-    reportDiv(Rep, C, Tag + "/sumAll", valDetail<S>(WantTotal, Tot));
+  Add("/eval", dynEval<S>(R.Q, OutSh));
+  if (Mask == 0)
+    Add("/evalStream",
+        EvalStream([&](const auto &E) { return evalStream<S>(E, OutSh); }));
+  Add("/sumAll", dynSumAll<S>(R.Q));
 
   // Parallel drivers need an indexed outermost level to range-partition.
-  if ((Mask & 1) == 0 && !R.Sig.empty()) {
-    Idx Extent = C.dimOf(R.Sig[0].A);
-    for (size_t NC : {size_t(1), size_t(3)}) {
-      auto Chunks = partitionDense(Extent, NC);
-      auto PTot = dynParallelSumAll<S>(Pool, R.Q, Chunks);
-      if (!valEq<S>(PTot, WantTotal))
-        reportDiv(Rep, C, Tag + "/psum" + std::to_string(NC),
-                  valDetail<S>(WantTotal, PTot));
-      KRelation<S> PRel = dynParallelEval<S>(Pool, R.Q, OutSh, Chunks);
-      if (!relEq<S>(PRel, Want))
-        reportDiv(Rep, C, Tag + "/peval" + std::to_string(NC),
-                  relDetail<S>(Want, PRel));
-      if (Mask == 0) {
-        KRelation<S> PRel2 = std::visit(
-            [&](const auto &E) -> KRelation<S> {
-              using T = std::decay_t<decltype(E)>;
-              if constexpr (std::is_same_v<T, std::monostate>)
-                ETCH_UNREACHABLE("evaluation of an empty stream");
-              else
-                return parallelEvalStream<S>(Pool, E, OutSh, Chunks);
-            },
-            R.Q);
-        if (!relEq<S>(PRel2, Want))
-          reportDiv(Rep, C, Tag + "/pevalStream" + std::to_string(NC),
-                    relDetail<S>(Want, PRel2));
-      }
-    }
+  if ((Mask & 1) != 0 || R.Sig.empty())
+    return;
+  Idx Extent = C.dimOf(R.Sig[0].A);
+  for (size_t NC : {size_t(1), size_t(3)}) {
+    std::string N = std::to_string(NC);
+    auto Chunks = partitionDense(Extent, NC);
+    Add("/psum" + N, dynParallelSumAll<S>(Ctx.Pool, R.Q, Chunks));
+    Add("/peval" + N, dynParallelEval<S>(Ctx.Pool, R.Q, OutSh, Chunks));
+    if (Mask == 0)
+      Add("/pevalStream" + N, EvalStream([&](const auto &E) {
+            return parallelEvalStream<S>(Ctx.Pool, E, OutSh, Chunks);
+          }));
   }
 }
 
+struct StreamsLeg {
+  template <Semiring S>
+  static void build(const FuzzTypedCase<S> &Ctx, FuzzRealizations<S> &Out) {
+    streamRealizations<S, SearchPolicy::Linear>(Ctx, Ctx.Storage, false, Out);
+    streamRealizations<S, SearchPolicy::Binary>(Ctx, Ctx.Storage, false, Out);
+    streamRealizations<S, SearchPolicy::Gallop>(Ctx, Ctx.Storage, false, Out);
+  }
+};
+
 //===----------------------------------------------------------------------===//
-// Compiled (VM) legs
+// The compiled legs: tree, bytecode, native
 //===----------------------------------------------------------------------===//
 
-const ScalarAlgebra *algebraFor(const std::string &Name) {
-  if (Name == "f64")
-    return &f64Algebra();
-  if (Name == "i64")
-    return &i64Algebra();
-  if (Name == "bool")
-    return &boolAlgebra();
-  if (Name == "minplus")
-    return &minPlusAlgebra();
-  return nullptr;
+template <Semiring S> const ScalarAlgebra &algebraOf() {
+  if constexpr (std::is_same_v<S, F64Semiring>)
+    return f64Algebra();
+  else if constexpr (std::is_same_v<S, I64Semiring>)
+    return i64Algebra();
+  else if constexpr (std::is_same_v<S, BoolSemiring>)
+    return boolAlgebra();
+  else
+    return minPlusAlgebra();
 }
 
 /// How the formats matrix re-binds sparse-vector tensors: as stored
@@ -483,9 +409,9 @@ TensorBinding bindingFor(const FuzzTensor &T, SearchPolicy P,
 }
 
 template <Semiring S>
-void bindArrays(VmMemory &Mem, const FuzzTensor &T, const Mats<S> &M,
+void bindArrays(VmMemory &Mem, const FuzzTensor &T, const FuzzStorage<S> &M,
                 VecOverride Ov = VecOverride::None) {
-  using V = StoreT<S>;
+  using V = FuzzStoreT<S>;
   auto PutVals = [&Mem](const std::string &Name, const std::vector<V> &Data) {
     if constexpr (std::is_same_v<typename S::Value, bool>) {
       std::vector<ImpValue> W;
@@ -570,358 +496,320 @@ void bindArrays(VmMemory &Mem, const FuzzTensor &T, const Mats<S> &M,
   }
 }
 
+/// Lowers \p C at opt level \p K, every sparse vector bound per \p Ov.
+/// The search policy rotates with the level: O0 linear, O1 binary, O2
+/// gallop (the SearchPolicy enumerators' order).
 template <Semiring S>
-std::optional<typename S::Value> fromImp(const ImpValue &V) {
-  if constexpr (std::is_same_v<typename S::Value, bool>) {
-    if (const bool *B = std::get_if<bool>(&V))
-      return *B;
-  } else if constexpr (std::is_same_v<typename S::Value, int64_t>) {
-    if (const int64_t *I = std::get_if<int64_t>(&V))
-      return *I;
-  } else {
-    if (const double *D = std::get_if<double>(&V))
-      return *D;
+PRef compileCase(const FuzzCase &C, int K, VecOverride Ov,
+                 const FuzzStorage<S> &M) {
+  LowerCtx Ctx;
+  Ctx.Alg = &algebraOf<S>();
+  Ctx.OptLevel = K;
+  for (const auto &[A, N] : C.Dims)
+    Ctx.setDim(A, N);
+  for (const FuzzTensor &T : C.Tensors) {
+    size_t Nnz = T.Fmt == FuzzFormat::SparseVec && Ov != VecOverride::None
+                     ? M.Hv.at(T.Name).nnz()
+                     : 0;
+    Ctx.bind(bindingFor(T, static_cast<SearchPolicy>(K), Ov, Nnz));
   }
-  return std::nullopt;
+  return compileFullContraction(Ctx, C.E, "out");
 }
 
-/// Bit-level ImpValue equality: f64 compares as bit patterns (the two VMs
-/// promise bit-identical results, so even NaN payloads must agree).
-bool impBitsEq(const ImpValue &A, const ImpValue &B) {
-  if (impTypeOf(A) != impTypeOf(B))
-    return false;
-  if (const double *X = std::get_if<double>(&A)) {
-    uint64_t XB, YB;
-    std::memcpy(&XB, X, sizeof(XB));
-    std::memcpy(&YB, &std::get<double>(B), sizeof(YB));
-    return XB == YB;
-  }
-  return A == B;
-}
-
-std::string impToStr(const ImpValue &V) {
-  return EExpr::constant(V)->toString();
-}
-
-/// Checks one executor's "out" against the oracle total, reporting under
-/// \p Tag. Returns the scalar read back (nullopt when missing/mistyped).
+/// The case's stored-format program at opt level \p K, compiled once.
 template <Semiring S>
-std::optional<ImpValue> checkVmOut(const FuzzCase &C, VmMemory &Mem,
-                                   const VmRunResult &R,
-                                   typename S::Value WantTotal,
-                                   const std::string &Tag, FuzzReport &Rep) {
-  if (!R.ok()) {
-    reportDiv(Rep, C, Tag, "vm error: " + *R.Error);
-    return std::nullopt;
-  }
-  auto Out = Mem.getScalar("out");
-  if (!Out) {
-    reportDiv(Rep, C, Tag, "program produced no 'out' scalar");
-    return std::nullopt;
-  }
-  auto Got = fromImp<S>(*Out);
-  if (!Got) {
-    reportDiv(Rep, C, Tag, "'out' has the wrong scalar type");
-    return std::nullopt;
-  }
-  if (!valEq<S>(*Got, WantTotal))
-    reportDiv(Rep, C, Tag, valDetail<S>(WantTotal, *Got));
-  return Out;
+const PRef &programOf(const FuzzTypedCase<S> &Ctx, int K) {
+  PRef &P = Ctx.Programs[static_cast<size_t>(K)];
+  if (!P)
+    P = compileCase<S>(Ctx.C, K, VecOverride::None, Ctx.Storage);
+  return P;
 }
 
-/// Runs the three compiled legs (O0/linear, O1/binary, O2/gallop) on tree
-/// and/or bytecode executors. \p Ov overrides every sparse-vector tensor's
-/// binding (formats matrix); \p FormTag prefixes the leg tags ("h"/"c"/"d"
-/// -> "hvm/O1", "hbvm/O1", ...). When \p OutByOpt is non-null, the output
-/// scalar of each opt level is stored there for cross-form bit comparison.
+/// Runs \p Prog once on executor \p Exec over \p M's arrays, sparse
+/// vectors bound per \p Ov. Native kernels are compiled with \p JO. A
+/// compile error fails the realization; the JIT's source-size cap
+/// declines it (production falls back to the bytecode VM, so that is no
+/// emitter gap).
 template <Semiring S>
-void runVmLegs(const FuzzCase &C, const Mats<S> &M,
-               typename S::Value WantTotal, VmBackend Backend,
-               FuzzReport &Rep, VecOverride Ov = VecOverride::None,
-               const char *FormTag = "",
-               std::optional<ImpValue> *OutByOpt = nullptr) {
-  const ScalarAlgebra *Alg = algebraFor(C.SemiringName);
-  ETCH_ASSERT(Alg, "dispatch guarantees a known semiring");
-  const struct {
-    int Opt;
-    SearchPolicy P;
-  } Legs[] = {{0, SearchPolicy::Linear},
-              {1, SearchPolicy::Binary},
-              {2, SearchPolicy::Gallop}};
-  bool Tree = Backend != VmBackend::Bytecode;
-  bool Bc = Backend == VmBackend::Bytecode || Backend == VmBackend::Both;
-  bool Nat = Backend == VmBackend::Native;
-  for (const auto &Leg : Legs) {
-    std::string Level = "O" + std::to_string(Leg.Opt);
-    LowerCtx Ctx;
-    Ctx.Alg = Alg;
-    Ctx.OptLevel = Leg.Opt;
-    for (const auto &[A, N] : C.Dims)
-      Ctx.setDim(A, N);
-    for (const FuzzTensor &T : C.Tensors) {
-      size_t Nnz = T.Fmt == FuzzFormat::SparseVec && Ov != VecOverride::None
-                       ? M.Hv.at(T.Name).nnz()
-                       : 0;
-      Ctx.bind(bindingFor(T, Leg.P, Ov, Nnz));
-    }
-    PRef Prog = compileFullContraction(Ctx, C.E, "out");
-
-    VmRunResult TreeR, BcR;
-    std::optional<ImpValue> TreeOut, BcOut;
-    if (Tree) {
-      VmMemory Mem;
-      for (const FuzzTensor &T : C.Tensors)
-        bindArrays<S>(Mem, T, M, Ov);
-      TreeR = vmRun(Prog, Mem);
-      TreeOut = checkVmOut<S>(C, Mem, TreeR, WantTotal,
-                              FormTag + ("vm/" + Level), Rep);
-    }
-    if (Bc) {
-      std::string Tag = FormTag + ("bvm/" + Level);
-      BytecodeProgram BC = compileBytecode(Prog);
-      if (!BC.ok()) {
-        reportDiv(Rep, C, Tag, "bytecode compile error: " + BC.CompileError);
-        continue;
-      }
-      VmMemory Mem;
-      for (const FuzzTensor &T : C.Tensors)
-        bindArrays<S>(Mem, T, M, Ov);
-      BcR = bytecodeRun(BC, Mem);
-      BcOut = checkVmOut<S>(C, Mem, BcR, WantTotal, Tag, Rep);
-    }
-    VmRunResult NatR;
-    std::optional<ImpValue> NatOut;
-    if (Nat) {
-      std::string Tag = FormTag + ("nvm/" + Level);
-      // Step-counting kernels so the strict cross-check below covers the
-      // budget semantics too. The driver has already verified a toolchain
-      // exists, so any failure here is an emitter/jit gap worth reporting.
-      JitOptions JO;
-      JO.CountSteps = true;
-      std::string JitErr;
-      NativeKernelRef K = jitCompile(Prog, JO, &JitErr);
-      if (!K) {
-        // The source-size cap is a designed decline (production falls
-        // back to the bytecode VM), not an emitter gap — skip the leg.
-        if (JitErr.rfind(JitSourceTooLargePrefix, 0) != 0)
-          reportDiv(Rep, C, Tag, "jit compile error: " + JitErr);
-        continue;
-      }
-      VmMemory Mem;
-      for (const FuzzTensor &T : C.Tensors)
-        bindArrays<S>(Mem, T, M, Ov);
-      NatR = K->run(Mem);
-      NatOut = checkVmOut<S>(C, Mem, NatR, WantTotal, Tag, Rep);
-    }
-    if (OutByOpt)
-      OutByOpt[Leg.Opt] = Tree ? TreeOut : BcOut;
-    // Direct tree ≡ bytecode cross-check, stricter than the oracle
-    // comparison: identical steps, identical error text, bit-identical
-    // output scalar.
-    if (Tree && Bc) {
-      std::string Tag = FormTag + ("tree-vs-bvm/" + Level);
-      if (TreeR.Steps != BcR.Steps)
-        reportDiv(Rep, C, Tag,
-                  "step counts differ: tree=" + std::to_string(TreeR.Steps) +
-                      " bytecode=" + std::to_string(BcR.Steps));
-      std::string TreeErr = TreeR.Error ? *TreeR.Error : "";
-      std::string BcErr = BcR.Error ? *BcR.Error : "";
-      if (TreeErr != BcErr)
-        reportDiv(Rep, C, Tag,
-                  "errors differ: tree='" + TreeErr + "' bytecode='" +
-                      BcErr + "'");
-      if (TreeOut && BcOut && !impBitsEq(*TreeOut, *BcOut))
-        reportDiv(Rep, C, Tag,
-                  "'out' differs bit-wise: tree=" + impToStr(*TreeOut) +
-                      " bytecode=" + impToStr(*BcOut));
-    }
-    // Same strictness for the native backend: identical steps, identical
-    // error text, bit-identical output scalar versus the tree VM.
-    if (Tree && Nat) {
-      std::string Tag = FormTag + ("tree-vs-nvm/" + Level);
-      if (TreeR.Steps != NatR.Steps)
-        reportDiv(Rep, C, Tag,
-                  "step counts differ: tree=" + std::to_string(TreeR.Steps) +
-                      " native=" + std::to_string(NatR.Steps));
-      std::string TreeErr = TreeR.Error ? *TreeR.Error : "";
-      std::string NatErr = NatR.Error ? *NatR.Error : "";
-      if (TreeErr != NatErr)
-        reportDiv(Rep, C, Tag,
-                  "errors differ: tree='" + TreeErr + "' native='" + NatErr +
-                      "'");
-      if (TreeOut && NatOut && !impBitsEq(*TreeOut, *NatOut))
-        reportDiv(Rep, C, Tag,
-                  "'out' differs bit-wise: tree=" + impToStr(*TreeOut) +
-                      " native=" + impToStr(*NatOut));
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Per-semiring driver
-//===----------------------------------------------------------------------===//
-
-template <Semiring S>
-void runTyped(const FuzzCase &C, const FuzzTyping &Ty, ThreadPool &Pool,
-              VmBackend Backend, FuzzReport &Rep) {
-  ValueContext<S> Inputs;
+FuzzRealization<S> execute(FuzzLeg Exec, const PRef &Prog,
+                           const JitOptions &JO, const FuzzCase &C,
+                           const FuzzStorage<S> &M, VecOverride Ov,
+                           std::string Tag, unsigned Checks) {
+  FuzzRealization<S> R;
+  R.Tag = std::move(Tag);
+  R.Checks = Checks;
+  VmMemory Mem;
   for (const FuzzTensor &T : C.Tensors)
-    Inputs.emplace(T.Name, fuzzTensorRelation<S>(T));
-  KRelation<S> Want = densifyAll<S>(evalT<S>(C.E, Inputs), C);
-  typename S::Value WantTotal = S::zero();
-  for (const auto &[Tu, V] : Want.entries())
-    WantTotal = S::add(WantTotal, V);
-
-  Mats<S> M = materialize<S>(C);
-  runStreamLegs<S, SearchPolicy::Linear>(C, Ty, M, Pool, Want, WantTotal,
-                                         Rep);
-  runStreamLegs<S, SearchPolicy::Binary>(C, Ty, M, Pool, Want, WantTotal,
-                                         Rep);
-  runStreamLegs<S, SearchPolicy::Gallop>(C, Ty, M, Pool, Want, WantTotal,
-                                         Rep);
-  runVmLegs<S>(C, M, WantTotal, Backend, Rep);
+    bindArrays<S>(Mem, T, M, Ov);
+  VmRunResult Run;
+  switch (Exec) {
+  case FuzzLeg::Tree:
+    Run = vmRun(Prog, Mem);
+    break;
+  case FuzzLeg::Bytecode: {
+    BytecodeProgram BC = compileBytecode(Prog);
+    if (!BC.ok()) {
+      R.Failed = "bytecode compile error: " + BC.CompileError;
+      return R;
+    }
+    Run = bytecodeRun(BC, Mem);
+    break;
+  }
+  case FuzzLeg::Native: {
+    std::string JitErr;
+    NativeKernelRef K = jitCompile(Prog, JO, &JitErr);
+    if (!K) {
+      if (JitErr.rfind(JitSourceTooLargePrefix, 0) == 0)
+        R.Declined = true;
+      else
+        R.Failed = "jit compile error: " + JitErr;
+      return R;
+    }
+    Run = K->run(Mem);
+    break;
+  }
+  default:
+    ETCH_UNREACHABLE("not an executor leg");
+  }
+  R.Error = Run.Error.value_or("");
+  R.Steps = Run.Steps;
+  if (!Run.ok())
+    return R;
+  auto Out = Mem.getScalar("out");
+  if (const auto *V = Out ? std::get_if<typename S::Value>(&*Out) : nullptr)
+    R.Total = *V;
+  else
+    R.Missing = Out ? "'out' has the wrong scalar type"
+                    : "program produced no 'out' scalar";
+  return R;
 }
+
+/// The compiled executors, anchor first: the tree VM is the reference the
+/// others are held to step for step.
+struct Executor {
+  FuzzLeg Leg;
+  const char *Short; ///< Tag stem: "vm", "bvm", "nvm".
+};
+constexpr Executor Executors[] = {{FuzzLeg::Tree, "vm"},
+                                  {FuzzLeg::Bytecode, "bvm"},
+                                  {FuzzLeg::Native, "nvm"}};
+
+/// \p E's realizations of \p Progs (one per opt level), tagged
+/// FormTag + "<short>/O<k>" and held to the oracle. With the tree leg
+/// selected, the other executors are also cross-checked against it —
+/// identical steps, error text and output bits — under
+/// FormTag + "tree-vs-<short>/O<k>". Native kernels count steps so that
+/// even budget exhaustion must agree.
+template <Semiring S>
+void executorRealizations(const FuzzTypedCase<S> &Ctx, const Executor &E,
+                          const std::array<PRef, 3> &Progs,
+                          const FuzzStorage<S> &M, VecOverride Ov,
+                          const std::string &FormTag,
+                          FuzzRealizations<S> &Out) {
+  JitOptions JO;
+  JO.CountSteps = true;
+  for (int K = 0; K < 3; ++K) {
+    std::string Level = "O" + std::to_string(K);
+    FuzzRealization<S> R = execute<S>(
+        E.Leg, Progs[static_cast<size_t>(K)], JO, Ctx.C, M, Ov,
+        FormTag + E.Short + "/" + Level, FuzzCheckOracle);
+    if (E.Leg != FuzzLeg::Tree && Ctx.Legs.has(FuzzLeg::Tree))
+      R.Anchors.push_back({FormTag + "vm/" + Level,
+                           FormTag + "tree-vs-" + E.Short + "/" + Level,
+                           FuzzCheckSteps | FuzzCheckError | FuzzCheckBits});
+    Out.push_back(std::move(R));
+  }
+}
+
+template <FuzzLeg L> struct ExecutorLeg {
+  template <Semiring S>
+  static void build(const FuzzTypedCase<S> &Ctx, FuzzRealizations<S> &Out) {
+    for (const Executor &E : Executors)
+      if (E.Leg == L)
+        executorRealizations<S>(
+            Ctx, E, {programOf(Ctx, 0), programOf(Ctx, 1), programOf(Ctx, 2)},
+            Ctx.Storage, VecOverride::None, "", Out);
+  }
+};
 
 /// The dense override materializes the full extent; beyond this it is
 /// skipped (sparse vectors over huge index spaces are exactly the inputs
 /// hashing exists for).
 constexpr Idx MaxDenseOverrideExtent = Idx(1) << 16;
 
-template <Semiring S>
-void runFormatsTyped(const FuzzCase &C, const FuzzTyping &Ty,
-                     ThreadPool &Pool, VmBackend Backend, FuzzReport &Rep) {
-  ValueContext<S> Inputs;
-  for (const FuzzTensor &T : C.Tensors)
-    Inputs.emplace(T.Name, fuzzTensorRelation<S>(T));
-  KRelation<S> Want = densifyAll<S>(evalT<S>(C.E, Inputs), C);
-  typename S::Value WantTotal = S::zero();
-  for (const auto &[Tu, V] : Want.entries())
-    WantTotal = S::add(WantTotal, V);
-
-  Mats<S> M = materialize<S>(C);
-  addHashed<S>(M, C);
-
-  // Hashed runtime streams (sorted snapshot iterate, probe-first skip)
-  // against the oracle, per policy.
-  runStreamLegs<S, SearchPolicy::Linear>(C, Ty, M, Pool, Want, WantTotal,
-                                         Rep, /*Hashed1D=*/true);
-  runStreamLegs<S, SearchPolicy::Binary>(C, Ty, M, Pool, Want, WantTotal,
-                                         Rep, /*Hashed1D=*/true);
-  runStreamLegs<S, SearchPolicy::Gallop>(C, Ty, M, Pool, Want, WantTotal,
-                                         Rep, /*Hashed1D=*/true);
-
-  // Compiled legs with every sparse vector re-bound hashed / compressed /
-  // dense. Hashed and compressed iterate the same sorted snapshot, so
-  // their outputs must agree bit-for-bit; dense changes the loop structure
-  // and is held to the oracle tolerance only.
-  std::optional<ImpValue> HOut[3], COut[3];
-  runVmLegs<S>(C, M, WantTotal, Backend, Rep, VecOverride::Hashed, "h",
-               HOut);
-  runVmLegs<S>(C, M, WantTotal, Backend, Rep, VecOverride::Compressed, "c",
-               COut);
-  bool DenseOk = true;
-  for (const FuzzTensor &T : C.Tensors)
-    if (T.Fmt == FuzzFormat::SparseVec &&
-        C.dimOf(T.Shp[0]) > MaxDenseOverrideExtent)
-      DenseOk = false;
-  if (DenseOk)
-    runVmLegs<S>(C, M, WantTotal, Backend, Rep, VecOverride::Dense, "d");
-
-  for (int K = 0; K < 3; ++K)
-    if (HOut[K] && COut[K] && !impBitsEq(*HOut[K], *COut[K]))
-      reportDiv(Rep, C, "hashed-vs-compressed/O" + std::to_string(K),
-                "'out' differs bit-wise: hashed=" + impToStr(*HOut[K]) +
-                    " compressed=" + impToStr(*COut[K]));
-}
-
-/// The dense-tail tiling matrix: one O2/gallop lowering, run on the tree
-/// VM and on native kernels at several TileDenseTails values, all
-/// cross-checked bit-for-bit. Tiles chosen to force both degenerate
-/// blocks (tile 3: many boundary re-checks) and whole-loop blocks
-/// (tile 1024: most fuzz extents fit one block).
-template <Semiring S>
-void runTilesTyped(const FuzzCase &C, FuzzReport &Rep) {
-  ValueContext<S> Inputs;
-  for (const FuzzTensor &T : C.Tensors)
-    Inputs.emplace(T.Name, fuzzTensorRelation<S>(T));
-  KRelation<S> Want = densifyAll<S>(evalT<S>(C.E, Inputs), C);
-  typename S::Value WantTotal = S::zero();
-  for (const auto &[Tu, V] : Want.entries())
-    WantTotal = S::add(WantTotal, V);
-  Mats<S> M = materialize<S>(C);
-
-  const ScalarAlgebra *Alg = algebraFor(C.SemiringName);
-  ETCH_ASSERT(Alg, "dispatch guarantees a known semiring");
-  LowerCtx Ctx;
-  Ctx.Alg = Alg;
-  Ctx.OptLevel = 2;
-  for (const auto &[A, N] : C.Dims)
-    Ctx.setDim(A, N);
-  for (const FuzzTensor &T : C.Tensors)
-    Ctx.bind(bindingFor(T, SearchPolicy::Gallop, VecOverride::None, 0));
-  PRef Prog = compileFullContraction(Ctx, C.E, "out");
-
-  // Tree VM reference. A step-budget exhaustion here is not comparable to
-  // the uncounted native legs, so the bit anchor only applies on success.
-  std::optional<ImpValue> TreeOut;
-  {
-    VmMemory Mem;
+/// Every sparse vector re-materialized hashed: hashed runtime streams per
+/// policy against the oracle, and each selected executor with sparse
+/// vectors re-bound hashed / compressed / dense ("h"/"c"/"d" tag
+/// prefixes). Hashed and compressed iterate the same sorted snapshot, so
+/// their outputs must agree bit-for-bit; dense changes the loop structure
+/// and is held to the oracle tolerance only. Cases without a sparse vector
+/// have nothing to re-bind.
+struct FormatsLeg {
+  template <Semiring S>
+  static void build(const FuzzTypedCase<S> &Ctx, FuzzRealizations<S> &Out) {
+    const FuzzCase &C = Ctx.C;
+    bool AnySparseVec = false, DenseOk = true;
     for (const FuzzTensor &T : C.Tensors)
-      bindArrays<S>(Mem, T, M, VecOverride::None);
-    VmRunResult R = vmRun(Prog, Mem);
-    if (R.ok())
-      TreeOut = checkVmOut<S>(C, Mem, R, WantTotal, "tiles/vm/O2", Rep);
-  }
-
-  const int64_t Tiles[] = {0, 3, 1024};
-  constexpr int NTiles = 3;
-  std::optional<ImpValue> Out[NTiles];
-  std::string Err[NTiles];
-  for (int K = 0; K < NTiles; ++K) {
-    std::string Tag = "tiles/nvm/t" + std::to_string(Tiles[K]);
-    JitOptions JO;
-    JO.CountSteps = false;
-    JO.TileDenseTails = Tiles[K];
-    std::string JitErr;
-    NativeKernelRef Kern = jitCompile(Prog, JO, &JitErr);
-    if (!Kern) {
-      // The source-size cap is a designed decline; anything else is an
-      // emitter gap. Either way the cross-checks below are meaningless
-      // with a leg missing.
-      if (JitErr.rfind(JitSourceTooLargePrefix, 0) != 0)
-        reportDiv(Rep, C, Tag, "jit compile error: " + JitErr);
+      if (T.Fmt == FuzzFormat::SparseVec) {
+        AnySparseVec = true;
+        DenseOk = DenseOk && C.dimOf(T.Shp[0]) <= MaxDenseOverrideExtent;
+      }
+    if (!AnySparseVec)
       return;
-    }
-    VmMemory Mem;
-    for (const FuzzTensor &T : C.Tensors)
-      bindArrays<S>(Mem, T, M, VecOverride::None);
-    VmRunResult R = Kern->run(Mem);
-    Err[K] = R.Error ? *R.Error : "";
-    if (R.ok())
-      Out[K] = checkVmOut<S>(C, Mem, R, WantTotal, Tag, Rep);
-  }
+    const FuzzStorage<S> &M = Ctx.Storage;
 
-  // The blocked emission must be invisible: identical error text and
-  // bit-identical 'out' across every tile, and bit-identical to the tree
-  // VM whenever both succeeded.
-  for (int K = 1; K < NTiles; ++K) {
-    std::string Tag = "tiles/plain-vs-t" + std::to_string(Tiles[K]);
-    if (Err[0] != Err[K])
-      reportDiv(Rep, C, Tag,
-                "errors differ: plain='" + Err[0] + "' tiled='" + Err[K] +
-                    "'");
-    if (Out[0] && Out[K] && !impBitsEq(*Out[0], *Out[K]))
-      reportDiv(Rep, C, Tag,
-                "'out' differs bit-wise: plain=" + impToStr(*Out[0]) +
-                    " tiled=" + impToStr(*Out[K]));
+    streamRealizations<S, SearchPolicy::Linear>(Ctx, M, true, Out);
+    streamRealizations<S, SearchPolicy::Binary>(Ctx, M, true, Out);
+    streamRealizations<S, SearchPolicy::Gallop>(Ctx, M, true, Out);
+
+    const struct {
+      VecOverride Ov;
+      const char *Form;
+    } Forms[] = {{VecOverride::Hashed, "h"},
+                 {VecOverride::Compressed, "c"},
+                 {VecOverride::Dense, "d"}};
+    for (const auto &F : Forms) {
+      if (F.Ov == VecOverride::Dense && !DenseOk)
+        continue;
+      std::array<PRef, 3> Progs;
+      for (int K = 0; K < 3; ++K)
+        Progs[static_cast<size_t>(K)] = compileCase<S>(C, K, F.Ov, M);
+      for (const Executor &E : Executors)
+        if (Ctx.Legs.has(E.Leg))
+          executorRealizations<S>(Ctx, E, Progs, M, F.Ov, F.Form, Out);
+    }
+
+    // Hashed vs compressed on the first selected executor.
+    auto First = std::find_if(
+        std::begin(Executors), std::end(Executors),
+        [&](const Executor &E) { return Ctx.Legs.has(E.Leg); });
+    if (First == std::end(Executors))
+      return;
+    for (FuzzRealization<S> &R : Out)
+      for (int K = 0; K < 3; ++K) {
+        std::string Stem = First->Short + ("/O" + std::to_string(K));
+        if (R.Tag == "c" + Stem)
+          R.Anchors.push_back({"h" + Stem,
+                               "hashed-vs-compressed/O" + std::to_string(K),
+                               FuzzCheckBits});
+      }
   }
-  if (TreeOut && Out[0] && !impBitsEq(*TreeOut, *Out[0]))
-    reportDiv(Rep, C, "tiles/tree-vs-plain",
-              "'out' differs bit-wise: tree=" + impToStr(*TreeOut) +
-                  " native=" + impToStr(*Out[0]));
+};
+
+/// The dense-tail tiling matrix: the O2/gallop program on the tree VM and
+/// as uncounted native kernels at several TileDenseTails values. Tiles
+/// force both degenerate blocks (3: many boundary re-checks) and
+/// whole-loop blocks (1024: most fuzz extents fit one block). The blocked
+/// emission must be invisible: identical error text and output bits across
+/// every tile, and bits identical to the tree VM whenever both succeeded.
+/// Uncounted kernels have no step parity, and a tree-VM budget exhaustion
+/// is not comparable to them, so errors are not held to the oracle.
+struct TilesLeg {
+  template <Semiring S>
+  static void build(const FuzzTypedCase<S> &Ctx, FuzzRealizations<S> &Out) {
+    const PRef &Prog = programOf(Ctx, 2);
+    const VecOverride Ov = VecOverride::None;
+    Out.push_back(execute<S>(FuzzLeg::Tree, Prog, JitOptions{}, Ctx.C,
+                             Ctx.Storage, Ov, "tiles/vm/O2",
+                             FuzzCheckOracleIfOk));
+    for (int64_t Tile : {0, 3, 1024}) {
+      JitOptions JO;
+      JO.CountSteps = false;
+      JO.TileDenseTails = Tile;
+      std::string T = std::to_string(Tile);
+      FuzzRealization<S> R =
+          execute<S>(FuzzLeg::Native, Prog, JO, Ctx.C, Ctx.Storage, Ov,
+                     "tiles/nvm/t" + T, FuzzCheckOracleIfOk);
+      if (Tile == 0)
+        R.Anchors.push_back(
+            {"tiles/vm/O2", "tiles/tree-vs-plain", FuzzCheckBits});
+      else
+        R.Anchors.push_back({"tiles/nvm/t0", "tiles/plain-vs-t" + T,
+                             FuzzCheckError | FuzzCheckBits});
+      Out.push_back(std::move(R));
+    }
+  }
+};
+
+ThreadPool &sharedFuzzPool() {
+  // Shared across calls: the shrinker invokes the executor hundreds of
+  // times per campaign and must not pay thread spawn/join each time.
+  static ThreadPool Pool(3);
+  return Pool;
 }
 
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// Registry and driver
+//===----------------------------------------------------------------------===//
+
+const std::vector<FuzzLegRow> &etch::fuzzLegRegistry() {
+  static const std::vector<FuzzLegRow> Rows = {
+      {FuzzLeg::Streams, "streams", false, fuzzCaseBuild<StreamsLeg>(),
+       nullptr},
+      {FuzzLeg::Tree, "tree", false,
+       fuzzCaseBuild<ExecutorLeg<FuzzLeg::Tree>>(), nullptr},
+      {FuzzLeg::Bytecode, "bytecode", false,
+       fuzzCaseBuild<ExecutorLeg<FuzzLeg::Bytecode>>(), nullptr},
+      {FuzzLeg::Native, "native", true,
+       fuzzCaseBuild<ExecutorLeg<FuzzLeg::Native>>(), nullptr},
+      {FuzzLeg::Formats, "formats", false, fuzzCaseBuild<FormatsLeg>(),
+       nullptr},
+      {FuzzLeg::Tiles, "tiles", true, fuzzCaseBuild<TilesLeg>(), nullptr},
+      {FuzzLeg::Delta, "delta", false, deltaCaseBuild(), &deltaSeedBuild},
+  };
+  return Rows;
+}
+
+std::optional<FuzzLegSet> etch::parseFuzzLegs(const std::string &List,
+                                              std::string *Err) {
+  FuzzLegSet Legs;
+  std::istringstream In(List);
+  const auto &Rows = fuzzLegRegistry();
+  for (std::string Name; std::getline(In, Name, ',');) {
+    auto It = std::find_if(Rows.begin(), Rows.end(),
+                           [&](const auto &Row) { return Name == Row.Name; });
+    if (It == Rows.end()) {
+      if (Err)
+        *Err = "unknown leg '" + Name + "'";
+      return std::nullopt;
+    }
+    Legs.add(It->Leg);
+  }
+  if (Legs.empty()) {
+    if (Err)
+      *Err = "no legs selected";
+    return std::nullopt;
+  }
+  return Legs;
+}
+
+std::string etch::fuzzLegNames(FuzzLegSet Legs) {
+  std::string Out;
+  for (const FuzzLegRow &Row : fuzzLegRegistry())
+    if (Legs.has(Row.Leg))
+      Out += (Out.empty() ? "" : ",") + std::string(Row.Name);
+  return Out;
+}
+
+bool etch::fuzzLegsNeedToolchain(FuzzLegSet Legs) {
+  for (const FuzzLegRow &Row : fuzzLegRegistry())
+    if (Legs.has(Row.Leg) && Row.NeedsToolchain)
+      return true;
+  return false;
+}
+
+void etch::fuzzReportDiv(FuzzReport &Rep, const std::string &Context,
+                         std::string Leg, const std::string &Detail) {
+  constexpr size_t Cap = 2000;
+  std::string D = Context.empty() ? Detail : Context + "\n" + Detail;
+  if (D.size() > Cap) {
+    D.resize(Cap);
+    D += " ...";
+  }
+  Rep.Divs.push_back(FuzzDivergence{std::move(Leg), std::move(D)});
+}
 
 std::string FuzzReport::toString() const {
   if (Invalid)
@@ -936,131 +824,54 @@ std::string FuzzReport::toString() const {
 }
 
 FuzzReport etch::runFuzzCase(const FuzzCase &C, ThreadPool &Pool,
-                             VmBackend Backend) {
+                             FuzzLegSet Legs) {
   FuzzReport Rep;
-  std::string Err;
-  auto Ty = fuzzValidate(C, &Err);
-  if (!Ty) {
+  auto Invalid = withTypedCase(C, [&](auto Sr, const FuzzTyping &Ty) {
+    using S = typename decltype(Sr)::type;
+    ValueContext<S> Inputs = inputsOf<S>(C);
+    FuzzOracle<S> Oracle = oracleOf<S>(C, Inputs);
+    FuzzTypedCase<S> Ctx{C,
+                         Ty,
+                         Legs,
+                         Pool,
+                         std::move(Inputs),
+                         std::move(Oracle),
+                         materialize<S>(C),
+                         {}};
+    FuzzRealizations<S> Rs;
+    for (const FuzzLegRow &Row : fuzzLegRegistry())
+      if (Legs.has(Row.Leg))
+        if (FuzzCaseBuilder<S> Build = std::get<FuzzCaseBuilder<S>>(Row.Build))
+          Build(Ctx, Rs);
+    fuzzCrossCheck<S>(Rs, &Ctx.Oracle, C.summary(), Rep);
+  });
+  if (Invalid) {
     Rep.Invalid = true;
-    Rep.ValidationError = Err;
-    return Rep;
-  }
-  if (C.SemiringName == "f64")
-    runTyped<F64Semiring>(C, *Ty, Pool, Backend, Rep);
-  else if (C.SemiringName == "i64")
-    runTyped<I64Semiring>(C, *Ty, Pool, Backend, Rep);
-  else if (C.SemiringName == "bool")
-    runTyped<BoolSemiring>(C, *Ty, Pool, Backend, Rep);
-  else if (C.SemiringName == "minplus")
-    runTyped<MinPlusSemiring>(C, *Ty, Pool, Backend, Rep);
-  else {
-    Rep.Invalid = true;
-    Rep.ValidationError = "unknown semiring '" + C.SemiringName + "'";
+    Rep.ValidationError = *Invalid;
   }
   return Rep;
 }
 
-FuzzReport etch::runFuzzTiles(const FuzzCase &C) {
+FuzzReport etch::runFuzzCase(const FuzzCase &C, FuzzLegSet Legs) {
+  return runFuzzCase(C, sharedFuzzPool(), Legs);
+}
+
+FuzzReport etch::runFuzzSeed(uint64_t Seed, FuzzLegSet Legs) {
   FuzzReport Rep;
-  std::string Err;
-  auto Ty = fuzzValidate(C, &Err);
-  if (!Ty) {
-    Rep.Invalid = true;
-    Rep.ValidationError = Err;
-    return Rep;
-  }
-  if (C.SemiringName == "f64")
-    runTilesTyped<F64Semiring>(C, Rep);
-  else if (C.SemiringName == "i64")
-    runTilesTyped<I64Semiring>(C, Rep);
-  else if (C.SemiringName == "bool")
-    runTilesTyped<BoolSemiring>(C, Rep);
-  else if (C.SemiringName == "minplus")
-    runTilesTyped<MinPlusSemiring>(C, Rep);
-  else {
-    Rep.Invalid = true;
-    Rep.ValidationError = "unknown semiring '" + C.SemiringName + "'";
-  }
+  FuzzRealizations<F64Semiring> Rs;
+  for (const FuzzLegRow &Row : fuzzLegRegistry())
+    if (Legs.has(Row.Leg) && Row.BuildSeed)
+      Row.BuildSeed(Seed, Legs, Rs, Rep);
+  fuzzCrossCheck<F64Semiring>(Rs, nullptr, "", Rep);
   return Rep;
 }
-
-namespace {
-
-template <Semiring S> FuzzTotal oracleTotalTyped(const FuzzCase &C) {
-  ValueContext<S> Inputs;
-  for (const FuzzTensor &T : C.Tensors)
-    Inputs.emplace(T.Name, fuzzTensorRelation<S>(T));
-  KRelation<S> Want = densifyAll<S>(evalT<S>(C.E, Inputs), C);
-  typename S::Value Total = S::zero();
-  for (const auto &[Tu, V] : Want.entries())
-    Total = S::add(Total, V);
-  FuzzTotal R;
-  R.Text = valStr<S>(Total);
-  R.Num = static_cast<double>(Total);
-  return R;
-}
-
-} // namespace
 
 std::optional<FuzzTotal> etch::fuzzOracleTotal(const FuzzCase &C) {
-  if (!fuzzValidate(C))
-    return std::nullopt;
-  if (C.SemiringName == "f64")
-    return oracleTotalTyped<F64Semiring>(C);
-  if (C.SemiringName == "i64")
-    return oracleTotalTyped<I64Semiring>(C);
-  if (C.SemiringName == "bool")
-    return oracleTotalTyped<BoolSemiring>(C);
-  if (C.SemiringName == "minplus")
-    return oracleTotalTyped<MinPlusSemiring>(C);
-  return std::nullopt;
-}
-
-FuzzReport etch::runFuzzFormats(const FuzzCase &C, ThreadPool &Pool,
-                                VmBackend Backend) {
-  FuzzReport Rep;
-  std::string Err;
-  auto Ty = fuzzValidate(C, &Err);
-  if (!Ty) {
-    Rep.Invalid = true;
-    Rep.ValidationError = Err;
-    return Rep;
-  }
-  bool AnySparseVec = false;
-  for (const FuzzTensor &T : C.Tensors)
-    AnySparseVec = AnySparseVec || T.Fmt == FuzzFormat::SparseVec;
-  if (!AnySparseVec)
-    return Rep;
-  if (C.SemiringName == "f64")
-    runFormatsTyped<F64Semiring>(C, *Ty, Pool, Backend, Rep);
-  else if (C.SemiringName == "i64")
-    runFormatsTyped<I64Semiring>(C, *Ty, Pool, Backend, Rep);
-  else if (C.SemiringName == "bool")
-    runFormatsTyped<BoolSemiring>(C, *Ty, Pool, Backend, Rep);
-  else if (C.SemiringName == "minplus")
-    runFormatsTyped<MinPlusSemiring>(C, *Ty, Pool, Backend, Rep);
-  else {
-    Rep.Invalid = true;
-    Rep.ValidationError = "unknown semiring '" + C.SemiringName + "'";
-  }
-  return Rep;
-}
-
-namespace {
-
-ThreadPool &sharedFuzzPool() {
-  // Shared across calls: the shrinker invokes the executor hundreds of
-  // times per campaign and must not pay thread spawn/join each time.
-  static ThreadPool Pool(3);
-  return Pool;
-}
-
-} // namespace
-
-FuzzReport etch::runFuzzCase(const FuzzCase &C, VmBackend Backend) {
-  return runFuzzCase(C, sharedFuzzPool(), Backend);
-}
-
-FuzzReport etch::runFuzzFormats(const FuzzCase &C, VmBackend Backend) {
-  return runFuzzFormats(C, sharedFuzzPool(), Backend);
+  std::optional<FuzzTotal> Total;
+  withTypedCase(C, [&](auto Sr, const FuzzTyping &) {
+    using S = typename decltype(Sr)::type;
+    FuzzOracle<S> O = oracleOf<S>(C, inputsOf<S>(C));
+    Total = FuzzTotal{fuzzValStr<S>(O.Total), static_cast<double>(O.Total)};
+  });
+  return Total;
 }

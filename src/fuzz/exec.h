@@ -5,19 +5,24 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Runs one fuzz case through every semantics the repo implements and
-/// reports divergences against the denotational oracle (`evalT`):
+/// Runs one fuzz case through the semantics the repo implements and
+/// reports divergences against the denotational oracle (`evalT`). Each
+/// semantics is a *leg*, one row of the registry in fuzz/legs.h, selected
+/// by name (`etch-fuzz --legs`):
 ///
-///   - oracle: `evalT` over KRelations, dense attributes materialized over
-///     their full extent (the reference for both the relation-valued and
-///     the fully contracted scalar result);
-///   - runtime streams, per SearchPolicy (Linear/Binary/Gallop): the
-///     mask-aware evaluation loop, the real `evalStream` when no level is
-///     contracted, the real `sumAll`, and the parallel drivers
-///     (`parallelSumAll` / chunked evaluation / `parallelEvalStream`) at
-///     several chunk counts whenever the outermost level is indexed;
-///   - the compiler: `compileFullContraction` at O0/O1/O2 (policy rotated
-///     per level), executed on the VM, compared against the oracle total.
+///   - `streams`: runtime streams per search policy, serial and parallel
+///     drivers ("stream/<policy>/...");
+///   - `tree`, `bytecode`, `native`: the compiled program at O0/O1/O2 on
+///     the tree VM, the bytecode VM and step-counting JIT kernels
+///     ("vm/O<k>", "bvm/O<k>", "nvm/O<k>"); with `tree` selected the other
+///     two must match it in steps, error text and output bits
+///     ("tree-vs-bvm/O<k>", "tree-vs-nvm/O<k>");
+///   - `formats`: sparse vectors re-bound hashed / compressed / dense
+///     ("hstream/...", "hvm/O<k>", "hashed-vs-compressed/O<k>", ...);
+///   - `tiles`: JIT kernels with blocked dense tails ("tiles/...");
+///   - `delta`: the delta-rewrite identity per tensor ("delta/...") and a
+///     seed-driven serve-stack scenario per selected executor
+///     ("delta-driver/...", ivm/deltafuzz.h).
 ///
 /// A case that fails `fuzzValidate` is reported as invalid, never a
 /// divergence — the executor refuses to run it rather than trip lowering
@@ -31,6 +36,9 @@
 #include "fuzz/fuzzcase.h"
 #include "support/threadpool.h"
 
+#include <cstdint>
+#include <initializer_list>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,68 +64,56 @@ struct FuzzReport {
   std::string toString() const;
 };
 
-/// Which compiled-program executor(s) the VM legs run: the tree-walking
-/// reference interpreter, the register-allocated bytecode VM, or both.
-/// `Both` additionally cross-checks the two directly (bit-identical
-/// outputs, identical step counts, identical error text) — stricter than
-/// each leg's oracle comparison, which tolerates f64 re-association.
-/// `Native` runs the tree VM plus the JIT-to-native backend
-/// (compiler/jit.h) with the same strict cross-check; kernels are
-/// compiled step-counting so even budget exhaustion must agree. A jit
-/// compile failure inside the matrix is reported as a divergence — it
-/// marks an emitter gap, and the driver (etch-fuzz) verifies toolchain
-/// availability up front, skipping with a distinct exit code when the
-/// machine simply has no compiler.
-enum class VmBackend { Tree, Bytecode, Both, Native };
+/// The registry's legs (fuzz/legs.h has one row per value, in this order).
+enum class FuzzLeg : uint8_t {
+  Streams, Tree, Bytecode, Native, Formats, Tiles, Delta
+};
 
-/// Runs the full executor matrix on \p C, using \p Pool for the parallel
-/// legs.
+/// A selection of legs.
+class FuzzLegSet {
+public:
+  constexpr FuzzLegSet() = default;
+  constexpr FuzzLegSet(std::initializer_list<FuzzLeg> Legs) {
+    for (FuzzLeg L : Legs)
+      add(L);
+  }
+  /// `streams,tree,bytecode`: what `etch-fuzz` runs without `--legs`.
+  static constexpr FuzzLegSet defaults() {
+    return {FuzzLeg::Streams, FuzzLeg::Tree, FuzzLeg::Bytecode};
+  }
+  constexpr void add(FuzzLeg L) { Bits |= bit(L); }
+  constexpr bool has(FuzzLeg L) const { return Bits & bit(L); }
+  constexpr bool empty() const { return Bits == 0; }
+
+private:
+  static constexpr uint32_t bit(FuzzLeg L) { return 1u << unsigned(L); }
+  uint32_t Bits = 0;
+};
+
+/// Parses a comma-separated list of leg names ("streams,tree,native").
+/// Returns nullopt with a diagnostic on an unknown or empty name.
+std::optional<FuzzLegSet> parseFuzzLegs(const std::string &List,
+                                        std::string *Err = nullptr);
+
+/// The selected legs' names, comma-joined in registry order.
+std::string fuzzLegNames(FuzzLegSet Legs);
+
+/// True when a selected leg runs JIT kernels, i.e. needs a C toolchain.
+bool fuzzLegsNeedToolchain(FuzzLegSet Legs);
+
+/// Runs the case legs of \p Legs on \p C, using \p Pool for the parallel
+/// stream legs.
 FuzzReport runFuzzCase(const FuzzCase &C, ThreadPool &Pool,
-                       VmBackend Backend = VmBackend::Both);
+                       FuzzLegSet Legs = FuzzLegSet::defaults());
 
 /// Convenience overload using a lazily constructed shared pool.
 FuzzReport runFuzzCase(const FuzzCase &C,
-                       VmBackend Backend = VmBackend::Both);
+                       FuzzLegSet Legs = FuzzLegSet::defaults());
 
-/// The level-format cross-check matrix (`etch-fuzz --formats`): every
-/// sparse-vector tensor is re-materialized as a hashed coordinate level
-/// (formats/levels.h) and the case re-runs with
-///
-///   - hashed runtime streams per SearchPolicy ("hstream/<policy>/..."):
-///     sorted-snapshot iteration, probe-first skip, checked against the
-///     same oracle legs as the stored formats;
-///   - compiled legs with every sparse vector re-bound hashed /
-///     compressed / dense ("hvm"/"cvm"/"dvm" and bytecode
-///     "hbvm"/"cbvm"/"dbvm"): each against the oracle total, and hashed
-///     vs compressed additionally bit-for-bit (they iterate the same
-///     sorted snapshot, so even f64 must agree exactly). The dense
-///     override materializes the full extent and is skipped for huge
-///     index spaces.
-///
-/// Cases without a sparse-vector tensor report ok trivially.
-FuzzReport runFuzzFormats(const FuzzCase &C, ThreadPool &Pool,
-                          VmBackend Backend = VmBackend::Both);
-
-/// Convenience overload using the shared pool.
-FuzzReport runFuzzFormats(const FuzzCase &C,
-                          VmBackend Backend = VmBackend::Both);
-
-/// The dense-tail tiling cross-check (`etch-fuzz --tiles`): the case is
-/// lowered once at O2/gallop and run through
-///
-///   - the tree VM (the oracle-anchored reference for output bits);
-///   - the native backend uncounted and untiled ("tiles/nvm/t0");
-///   - the native backend with `JitOptions::TileDenseTails` at a small and
-///     a large tile ("tiles/nvm/t3", "tiles/nvm/t1024"), i.e. the blocked
-///     loop emission the planner's kernel schedules enable.
-///
-/// Every native leg is checked against the oracle total, every tiled leg
-/// bit-for-bit (values and error text) against the untiled leg, and the
-/// untiled leg bit-for-bit against the tree VM — the blocked transform
-/// must be completely invisible. Uncounted kernels have no step parity,
-/// so steps are not compared. Requires a toolchain (the driver checks
-/// jitToolchain() up front); a source-size decline skips the case.
-FuzzReport runFuzzTiles(const FuzzCase &C);
+/// Runs the seed-driven legs of \p Legs: scenarios that generate their
+/// own inputs from \p Seed instead of consuming a case, so there is
+/// nothing to shrink. Legs without a scenario contribute nothing.
+FuzzReport runFuzzSeed(uint64_t Seed, FuzzLegSet Legs);
 
 /// The oracle's fully contracted total for \p C, both as exact text and as
 /// a double (for the f64 tolerance). Used by the order sweep

@@ -200,7 +200,7 @@ std::string FuzzOrderReport::toString() const {
 }
 
 FuzzOrderReport runFuzzCaseOrders(const FuzzCase &C, size_t MaxOrders,
-                                  VmBackend Backend) {
+                                  FuzzLegSet Legs) {
   FuzzOrderReport R;
   auto Base = fuzzOracleTotal(C);
   if (!Base)
@@ -226,8 +226,8 @@ FuzzOrderReport runFuzzCaseOrders(const FuzzCase &C, size_t MaxOrders,
       R.TotalMismatch = "want " + Base->Text + "  got " + Tot->Text;
       return R;
     }
-    // The full executor matrix under the permuted order.
-    FuzzReport Rep = runFuzzCase(*RC, Backend);
+    // The selected legs under the permuted order.
+    FuzzReport Rep = runFuzzCase(*RC, Legs);
     if (Rep.failing() || Rep.Invalid) {
       R.FailingPerm = Perm;
       R.Rep = std::move(Rep);

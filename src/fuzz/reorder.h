@@ -17,7 +17,7 @@
 /// Definition 5.7 rather than weakening it.
 ///
 /// `runFuzzCaseOrders` is the executor-matrix sweep: every legal order's
-/// case runs through the full `runFuzzCase` matrix, and its oracle total
+/// case runs through the selected legs (`runFuzzCase`), and its oracle total
 /// must also agree with the original case's total (the denotational
 /// semantics is permutation-equivariant, so any disagreement is a bug in
 /// either a semantics or the reorder transformation itself).
@@ -59,12 +59,11 @@ struct FuzzOrderReport {
   std::string toString() const;
 };
 
-/// Runs \p C under every legal order (up to \p MaxOrders): the full
-/// executor matrix per order plus the cross-order oracle-total check.
-/// Stops at the first failing order. \p Backend selects the compiled
-/// executor(s), as in runFuzzCase.
+/// Runs \p C under every legal order (up to \p MaxOrders): the case legs
+/// of \p Legs per order plus the cross-order oracle-total check. Stops at
+/// the first failing order.
 FuzzOrderReport runFuzzCaseOrders(const FuzzCase &C, size_t MaxOrders = 24,
-                                  VmBackend Backend = VmBackend::Both);
+                                  FuzzLegSet Legs = FuzzLegSet::defaults());
 
 } // namespace etch
 

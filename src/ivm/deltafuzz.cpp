@@ -16,22 +16,12 @@
 #include <cstring>
 #include <limits>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
 using namespace etch;
 
 namespace {
-
-void reportDiv(FuzzReport &Rep, const std::string &Leg,
-               const std::string &Detail) {
-  constexpr size_t Cap = 400;
-  std::string D = Detail;
-  if (D.size() > Cap)
-    D = D.substr(0, Cap) + "...";
-  Rep.Divs.push_back({Leg, D});
-}
 
 /// The generator's per-semiring value pool (fuzz/gen.cpp): dyadic
 /// rationals of bounded magnitude, so the delta identity holds bit-for-bit
@@ -94,39 +84,31 @@ KRelation<S> genDelta(const FuzzCase &C, const FuzzTensor &T,
   return D;
 }
 
-template <Semiring S>
-void runDeltaTyped(const FuzzCase &C, uint64_t BatchSeed, FuzzReport &Rep) {
-  ValueContext<S> Inputs;
-  for (const FuzzTensor &T : C.Tensors)
-    Inputs.emplace(T.Name, fuzzTensorRelation<S>(T));
-
-  KRelation<S> Base = evalT<S>(C.E, Inputs);
-  for (size_t TI = 0; TI < C.Tensors.size(); ++TI) {
-    const FuzzTensor &T = C.Tensors[TI];
-    Rng R(mix(BatchSeed, TI));
-    KRelation<S> D = genDelta<S>(C, T, Inputs.at(T.Name), R);
-
-    // Identity: T[e](Ctx[t := A+Δ]) == T[e](Ctx) + δ_t[e](Ctx, Δ).
-    ValueContext<S> Patched = Inputs;
-    Patched.at(T.Name) = Inputs.at(T.Name).add(D);
-    KRelation<S> Left = evalT<S>(C.E, Patched);
-    KRelation<S> Right = Base.add(evalDeltaT<S>(C.E, Inputs, T.Name, D));
-    if (!Left.equals(Right))
-      reportDiv(Rep, "delta/" + C.SemiringName + "/t=" + T.Name,
-                "recompute=" + Left.toString() +
-                    " incremental=" + Right.toString() +
-                    " delta=" + D.toString());
-
-    // The maintenance engine itself: apply the batch, compare against a
-    // recomputation from the maintained base.
-    GroupedView<S> GV(C.E, Inputs);
-    GV.applyDelta(T.Name, D);
-    if (!GV.value().equals(GV.recompute()))
-      reportDiv(Rep, "delta/grouped/" + C.SemiringName + "/t=" + T.Name,
-                "maintained=" + GV.value().toString() +
-                    " recomputed=" + GV.recompute().toString() +
-                    " delta=" + D.toString());
+/// A stable hash of the serialized case (FNV-1a): the batch seed, equal
+/// across processes.
+uint64_t batchSeedOf(const FuzzCase &C) {
+  uint64_t H = 0xcbf29ce484222325ULL;
+  for (char Ch : serializeCase(C)) {
+    H ^= static_cast<unsigned char>(Ch);
+    H *= 0x100000001b3ULL;
   }
+  return H;
+}
+
+/// A relation-valued realization, optionally held bit-for-bit to
+/// \p Anchor and reported under \p Report.
+template <Semiring S>
+FuzzRealization<S> relation(std::string Tag, KRelation<S> Rel,
+                            const std::string &Anchor = "",
+                            const std::string &Report = "",
+                            std::string Note = "") {
+  FuzzRealization<S> R;
+  R.Tag = std::move(Tag);
+  R.Rel = std::move(Rel);
+  if (!Anchor.empty())
+    R.Anchors.push_back({Anchor, Report, FuzzCheckBits});
+  R.Note = std::move(Note);
+  return R;
 }
 
 //===----------------------------------------------------------------------===//
@@ -138,16 +120,28 @@ int nonZeroInt(Rng &R) {
   return V == 0 ? 1 : V;
 }
 
-/// What one scenario ends with, for the Both cross-check.
-struct ScenarioFinals {
-  std::map<std::string, double> Scalars;
-  std::string Grouped;
+/// The scenario's scalar views (plus the grouped view "gv_rows", Σ_j
+/// M·v grouped by row).
+struct ScalarView {
+  const char *Name;
+  std::vector<std::string> Factors;
 };
+const ScalarView ScalarViews[] = {{"vw_tot", {"M"}},
+                                  {"vw_spmv", {"M", "v", "u"}},
+                                  {"vw_sq", {"M", "M"}},
+                                  {"vw_vv", {"v", "v"}},
+                                  {"vw_du", {"d", "u"}}};
 
+/// One seeded scenario on one executor: random append/delete batches
+/// (integer-valued f64 data, so every comparison is bit-exact) through
+/// TensorCatalog merge-appends, retained PlanCache delta plans and
+/// MaintenanceDriver views. After every batch each view must equal its
+/// recomputation and `evalT` over the live payloads, and no payload may
+/// store a zero weight (deletion compaction); a warm round of batches must
+/// run without a planner enumeration (plan retention).
 struct Scenario {
   Scenario(uint64_t Seed, ExecBackend EB, bool UseNative,
-           const std::string &JitCacheDir, const std::string &LegPrefix,
-           FuzzReport &Rep)
+           const std::string &LegPrefix, FuzzReport &Rep)
       : R(mix(Seed, 0xde17a)), Plans(64), Leg(LegPrefix), Rep(Rep) {
     const std::vector<Attr> &U = fuzzAttrUniverse();
     AI = U[0];
@@ -181,26 +175,16 @@ struct Scenario {
     IvmOptions IO;
     IO.Backend = EB;
     IO.Prep.UseNative = UseNative;
-    IO.Prep.JitCacheDir = JitCacheDir;
     Drv = std::make_unique<MaintenanceDriver>(Cat, Plans, IO);
 
-    registerScalar("vw_tot", {"M"});
-    registerScalar("vw_spmv", {"M", "v", "u"});
-    registerScalar("vw_sq", {"M", "M"});
-    registerScalar("vw_vv", {"v", "v"});
-    registerScalar("vw_du", {"d", "u"});
     std::string Err;
+    for (const ScalarView &V : ScalarViews)
+      if (Drv->registerView(V.Name, V.Factors, &Err))
+        Views.push_back(&V);
+      else
+        fuzzReportDiv(Rep, "", Leg + "/register/" + V.Name, Err);
     if (!Drv->registerGroupedView("gv_rows", {"M", "v"}, {AI}, &Err))
-      reportDiv(Rep, Leg + "/register/gv_rows", Err);
-  }
-
-  void registerScalar(const std::string &Name,
-                      std::vector<std::string> Factors) {
-    std::string Err;
-    if (!Drv->registerView(Name, Factors, &Err))
-      reportDiv(Rep, Leg + "/register/" + Name, Err);
-    else
-      Views.push_back({Name, std::move(Factors)});
+      fuzzReportDiv(Rep, "", Leg + "/register/gv_rows", Err);
   }
 
   /// One append/delete batch on "M" or "v", routed exactly the way the
@@ -253,10 +237,8 @@ struct Scenario {
       std::map<Idx, double> Sum;
       for (const auto &[I, X] : Delta)
         Sum[I] += X;
-      for (const auto &[I, X] : Sum) {
-        (void)I;
-        NonEmpty = NonEmpty || X != 0.0;
-      }
+      NonEmpty = std::any_of(Sum.begin(), Sum.end(),
+                             [](const auto &E) { return E.second != 0.0; });
       Cat.appendSparse("v", Delta);
       Drv->onAppendSparse("v", Delta, Pre, Cat.snapshot());
     }
@@ -307,52 +289,54 @@ struct Scenario {
   }
 
   void checkViews(const std::string &When) {
-    for (const auto &[Name, Factors] : Views) {
+    for (const ScalarView *V : Views) {
+      std::string Name = V->Name;
       auto Rd = Drv->read(Name);
       auto Rc = Drv->recompute(Name);
       if (!Rd || !Rc || !Rd->Ok || !Rc->Ok) {
-        reportDiv(Rep, Leg + "/view/" + Name,
-                  When + ": read/recompute failed: " +
-                      (Rd ? Rd->Error : "missing") + " / " +
-                      (Rc ? Rc->Error : "missing"));
+        fuzzReportDiv(Rep, "", Leg + "/view/" + Name,
+                      When + ": read/recompute failed: " +
+                          (Rd ? Rd->Error : "missing") + " / " +
+                          (Rc ? Rc->Error : "missing"));
         continue;
       }
       if (std::memcmp(&Rd->Value, &Rc->Value, sizeof(double)) != 0)
-        reportDiv(Rep, Leg + "/view/" + Name,
-                  When + ": maintained=" + std::to_string(Rd->Value) +
-                      " recomputed=" + std::to_string(Rc->Value));
+        fuzzReportDiv(Rep, "", Leg + "/view/" + Name,
+                      When + ": maintained=" + std::to_string(Rd->Value) +
+                          " recomputed=" + std::to_string(Rc->Value));
       if (Rd->Epoch != Cat.epoch())
-        reportDiv(Rep, Leg + "/view-epoch/" + Name,
-                  When + ": reading at epoch " + std::to_string(Rd->Epoch) +
-                      ", catalog at " + std::to_string(Cat.epoch()));
+        fuzzReportDiv(Rep, "", Leg + "/view-epoch/" + Name,
+                      When + ": reading at epoch " + std::to_string(Rd->Epoch) +
+                          ", catalog at " + std::to_string(Cat.epoch()));
       bool Ok = false;
-      KRelation<F64Semiring> Want = oracle(Factors, {}, &Ok);
+      KRelation<F64Semiring> Want = oracle(V->Factors, {}, &Ok);
       if (!Ok) {
-        reportDiv(Rep, Leg + "/oracle/" + Name, When + ": oracle untypable");
+        fuzzReportDiv(Rep, "", Leg + "/oracle/" + Name,
+                      When + ": oracle untypable");
         continue;
       }
       double WantV = Want.at({});
       if (std::memcmp(&Rd->Value, &WantV, sizeof(double)) != 0)
-        reportDiv(Rep, Leg + "/oracle/" + Name,
-                  When + ": maintained=" + std::to_string(Rd->Value) +
-                      " evalT=" + std::to_string(WantV));
+        fuzzReportDiv(Rep, "", Leg + "/oracle/" + Name,
+                      When + ": maintained=" + std::to_string(Rd->Value) +
+                          " evalT=" + std::to_string(WantV));
     }
 
     auto G1 = Drv->readGrouped("gv_rows");
     auto G2 = Drv->recomputeGrouped("gv_rows");
     if (!G1 || !G2) {
-      reportDiv(Rep, Leg + "/grouped/gv_rows", When + ": read failed");
+      fuzzReportDiv(Rep, "", Leg + "/grouped/gv_rows", When + ": read failed");
     } else {
       if (!G1->equals(*G2))
-        reportDiv(Rep, Leg + "/grouped/gv_rows",
-                  When + ": maintained=" + G1->toString() +
-                      " recomputed=" + G2->toString());
+        fuzzReportDiv(Rep, "", Leg + "/grouped/gv_rows",
+                      When + ": maintained=" + G1->toString() +
+                          " recomputed=" + G2->toString());
       bool Ok = false;
       KRelation<F64Semiring> Want = oracle({"M", "v"}, {AI}, &Ok);
       if (Ok && !G1->equals(Want))
-        reportDiv(Rep, Leg + "/grouped-oracle/gv_rows",
-                  When + ": maintained=" + G1->toString() +
-                      " evalT=" + Want.toString());
+        fuzzReportDiv(Rep, "", Leg + "/grouped-oracle/gv_rows",
+                      When + ": maintained=" + G1->toString() +
+                          " evalT=" + Want.toString());
     }
 
     // Deletion compaction: no payload may carry an explicit zero weight.
@@ -363,8 +347,8 @@ struct Scenario {
           T->K == CatalogTensor::Kind::Csr ? T->Csr.Val : T->Sparse.Val;
       for (double X : Vals)
         if (X == 0.0)
-          reportDiv(Rep, Leg + "/zombie-zero/" + std::string(N),
-                    When + ": payload stores an explicit zero weight");
+          fuzzReportDiv(Rep, "", Leg + "/zombie-zero/" + std::string(N),
+                        When + ": payload stores an explicit zero weight");
     }
   }
 
@@ -400,29 +384,16 @@ struct Scenario {
       checkViews("warm batch " + std::to_string(B) + " on " + Target);
     }
     if (Plans.stats().PlannerRuns != Planned)
-      reportDiv(Rep, Leg + "/planner-rerun",
-                "warm batches re-ran the planner: " + std::to_string(Planned) +
-                    " -> " + std::to_string(Plans.stats().PlannerRuns));
+      fuzzReportDiv(Rep, "", Leg + "/planner-rerun",
+                    "warm batches re-ran the planner: " +
+                        std::to_string(Planned) + " -> " +
+                        std::to_string(Plans.stats().PlannerRuns));
     if (NonEmptyBatches["M"] >= 2 && Drv->stats().DeltaPlanHits == 0)
-      reportDiv(Rep, Leg + "/no-plan-hits",
-                "repeat batches on M never hit a retained delta plan");
+      fuzzReportDiv(Rep, "", Leg + "/no-plan-hits",
+                    "repeat batches on M never hit a retained delta plan");
   }
 
   std::string pickTarget() { return R.nextBool(0.5) ? "M" : "v"; }
-
-  ScenarioFinals finals() {
-    ScenarioFinals F;
-    for (const auto &[Name, Factors] : Views) {
-      (void)Factors;
-      auto Rd = Drv->read(Name);
-      F.Scalars[Name] = Rd && Rd->Ok
-                            ? Rd->Value
-                            : std::numeric_limits<double>::quiet_NaN();
-    }
-    auto G = Drv->readGrouped("gv_rows");
-    F.Grouped = G ? G->toString() : "<missing>";
-    return F;
-  }
 
   Rng R;
   TensorCatalog Cat;
@@ -432,87 +403,88 @@ struct Scenario {
   FuzzReport &Rep;
   Attr AI, AJ;
   Idx NR = 0, NC = 0;
-  std::vector<std::pair<std::string, std::vector<std::string>>> Views;
+  std::vector<const ScalarView *> Views; ///< The registered scalar views.
 };
 
-ScenarioFinals runScenario(uint64_t Seed, ExecBackend EB, bool UseNative,
-                           const std::string &JitCacheDir,
-                           const std::string &LegPrefix, FuzzReport &Rep) {
-  Scenario Sc(Seed, EB, UseNative, JitCacheDir, LegPrefix, Rep);
-  Sc.run();
-  return Sc.finals();
-}
+/// The delta-rewrite identity and the grouped-view engine on a case: each
+/// incremental result is a realization anchored bit-for-bit on its
+/// recomputation.
+struct DeltaLeg {
+  template <Semiring S>
+  static void build(const FuzzTypedCase<S> &Ctx, FuzzRealizations<S> &Out) {
+    const FuzzCase &C = Ctx.C;
+    const ValueContext<S> &Inputs = Ctx.Inputs;
+    uint64_t BatchSeed = batchSeedOf(C);
+    KRelation<S> Base = evalT<S>(C.E, Inputs);
+    for (size_t TI = 0; TI < C.Tensors.size(); ++TI) {
+      const FuzzTensor &T = C.Tensors[TI];
+      Rng R(mix(BatchSeed, TI));
+      KRelation<S> D = genDelta<S>(C, T, Inputs.at(T.Name), R);
+      std::string Note = "delta=" + D.toString();
+
+      // Identity: T[e](Ctx[t := A+Δ]) == T[e](Ctx) + δ_t[e](Ctx, Δ).
+      std::string Tag = "delta/" + C.SemiringName + "/t=" + T.Name;
+      ValueContext<S> Patched = Inputs;
+      Patched.at(T.Name) = Inputs.at(T.Name).add(D);
+      Out.push_back(relation<S>(Tag + "/recompute", evalT<S>(C.E, Patched)));
+      Out.push_back(relation<S>(Tag + "/incremental",
+                                Base.add(evalDeltaT<S>(C.E, Inputs, T.Name, D)),
+                                Tag + "/recompute", Tag, Note));
+
+      // The maintenance engine itself: apply the batch, compare against a
+      // recomputation from the maintained base.
+      std::string GTag = "delta/grouped/" + C.SemiringName + "/t=" + T.Name;
+      GroupedView<S> GV(C.E, Inputs);
+      GV.applyDelta(T.Name, D);
+      Out.push_back(relation<S>(GTag + "/recomputed", GV.recompute()));
+      Out.push_back(relation<S>(GTag + "/maintained", GV.value(),
+                                GTag + "/recomputed", GTag, Note));
+    }
+  }
+};
 
 } // namespace
 
-FuzzReport etch::runFuzzDelta(const FuzzCase &C, uint64_t BatchSeed) {
-  FuzzReport Rep;
-  std::string Err;
-  if (!fuzzValidate(C, &Err)) {
-    Rep.Invalid = true;
-    Rep.ValidationError = Err;
-    return Rep;
-  }
-  if (C.SemiringName == "f64")
-    runDeltaTyped<F64Semiring>(C, BatchSeed, Rep);
-  else if (C.SemiringName == "i64")
-    runDeltaTyped<I64Semiring>(C, BatchSeed, Rep);
-  else if (C.SemiringName == "bool")
-    runDeltaTyped<BoolSemiring>(C, BatchSeed, Rep);
-  else if (C.SemiringName == "minplus")
-    runDeltaTyped<MinPlusSemiring>(C, BatchSeed, Rep);
-  else {
-    Rep.Invalid = true;
-    Rep.ValidationError = "unknown semiring '" + C.SemiringName + "'";
-  }
-  return Rep;
-}
+FuzzCaseBuild etch::deltaCaseBuild() { return fuzzCaseBuild<DeltaLeg>(); }
 
-uint64_t etch::fuzzDeltaBatchSeed(const FuzzCase &C) {
-  // FNV-1a over the canonical serialization: stable across processes.
-  uint64_t H = 0xcbf29ce484222325ULL;
-  for (char Ch : serializeCase(C)) {
-    H ^= static_cast<unsigned char>(Ch);
-    H *= 0x100000001b3ULL;
-  }
-  return H;
-}
+void etch::deltaSeedBuild(uint64_t Seed, FuzzLegSet Legs,
+                          FuzzRealizations<F64Semiring> &Out,
+                          FuzzReport &Rep) {
+  const struct {
+    FuzzLeg Leg;
+    ExecBackend EB;
+    std::string Name;
+  } Executors[] = {{FuzzLeg::Tree, ExecBackend::Tree, "tree"},
+                   {FuzzLeg::Bytecode, ExecBackend::Bytecode, "bytecode"},
+                   {FuzzLeg::Native, ExecBackend::Native, "native"}};
+  for (const auto &E : Executors) {
+    if (!Legs.has(E.Leg))
+      continue;
+    const std::string &Name = E.Name;
+    Scenario Sc(Seed, E.EB, E.Leg == FuzzLeg::Native, "delta-driver/" + Name,
+                Rep);
+    Sc.run();
 
-FuzzReport etch::runFuzzDeltaDriver(uint64_t Seed, VmBackend Backend,
-                                    const std::string &JitCacheDir) {
-  FuzzReport Rep;
-  switch (Backend) {
-  case VmBackend::Tree:
-    runScenario(Seed, ExecBackend::Tree, false, JitCacheDir,
-                "delta-driver/tree", Rep);
-    break;
-  case VmBackend::Bytecode:
-    runScenario(Seed, ExecBackend::Bytecode, false, JitCacheDir,
-                "delta-driver/bytecode", Rep);
-    break;
-  case VmBackend::Native:
-    runScenario(Seed, ExecBackend::Native, true, JitCacheDir,
-                "delta-driver/native", Rep);
-    break;
-  case VmBackend::Both: {
-    ScenarioFinals T = runScenario(Seed, ExecBackend::Tree, false, JitCacheDir,
-                                   "delta-driver/tree", Rep);
-    ScenarioFinals B = runScenario(Seed, ExecBackend::Bytecode, false,
-                                   JitCacheDir, "delta-driver/bytecode", Rep);
-    for (const auto &[Name, TV] : T.Scalars) {
-      auto It = B.Scalars.find(Name);
-      if (It == B.Scalars.end() ||
-          std::memcmp(&TV, &It->second, sizeof(double)) != 0)
-        reportDiv(Rep, "delta-driver/tree-vs-bytecode/" + Name,
-                  "tree=" + std::to_string(TV) + " bytecode=" +
-                      (It == B.Scalars.end() ? "<missing>"
-                                             : std::to_string(It->second)));
+    // The final readings, anchored on the tree scenario's.
+    bool Anchored = E.Leg != FuzzLeg::Tree && Legs.has(FuzzLeg::Tree);
+    auto Reading = [&](const std::string &View) {
+      FuzzRealization<F64Semiring> R;
+      R.Tag = "delta-driver/" + Name + "/" + View;
+      if (Anchored)
+        R.Anchors.push_back({"delta-driver/tree/" + View,
+                             "delta-driver/tree-vs-" + Name + "/" + View,
+                             FuzzCheckBits});
+      return R;
+    };
+    for (const ScalarView &V : ScalarViews) {
+      FuzzRealization<F64Semiring> R = Reading(V.Name);
+      auto Rd = Sc.Drv->read(V.Name);
+      if (Rd && Rd->Ok)
+        R.Total = Rd->Value;
+      Out.push_back(std::move(R));
     }
-    if (T.Grouped != B.Grouped)
-      reportDiv(Rep, "delta-driver/tree-vs-bytecode/gv_rows",
-                "tree=" + T.Grouped + " bytecode=" + B.Grouped);
-    break;
+    FuzzRealization<F64Semiring> G = Reading("gv_rows");
+    G.Rel = Sc.Drv->readGrouped("gv_rows");
+    Out.push_back(std::move(G));
   }
-  }
-  return Rep;
 }

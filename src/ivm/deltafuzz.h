@@ -5,59 +5,36 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The `etch-fuzz --delta` leg: differential fuzzing of incremental view
-/// maintenance against full recomputation, in two layers.
-///
-///   - `runFuzzDelta` checks the delta-rewrite identity (ivm/delta.h) on
-///     an arbitrary generated case, at the K-relation layer: for every
-///     tensor `t` of the case it derives a random batch Δ_t (appends in
-///     every semiring; exact deletions where the semiring is a ring) and
-///     requires `T[e](Ctx[t := A+Δ]) == T[e](Ctx) + δ_t[e](Ctx, Δ)`
-///     *exactly*, plus `GroupedView::applyDelta` against its own
-///     `recompute`. Exactness is sound because the generator draws dyadic
-///     values of bounded magnitude — the sides agree as reals, hence
-///     bit-for-bit.
-///
-///   - `runFuzzDeltaDriver` runs a seeded random scenario through the
-///     real serving stack — `TensorCatalog` merge-appends, retained
-///     `PlanCache` delta plans, `MaintenanceDriver` scalar and grouped
-///     views — applying random append/delete batches (integer-valued f64
-///     data) and holding every stored view bit-identical to (a) the
-///     driver's own planner-free recomputation and (b) an independent
-///     `evalT` oracle over the live catalog payloads. It also checks that
-///     no payload carries a zero weight (deletion compaction) and that a
-///     repeat round of batches runs without any planner enumeration
-///     (plan retention). `VmBackend::Both` runs the scenario under the
-///     tree and bytecode executors and cross-checks the two bit-for-bit.
+/// The `delta` fuzz leg (a row of fuzz/legs.h): incremental view
+/// maintenance against full recomputation. Per case, the delta-rewrite
+/// identity (ivm/delta.h) and `GroupedView::applyDelta` for a random
+/// batch per tensor, exactly ("delta/..."); per seed, a random
+/// append/delete scenario through the serving stack once per selected
+/// executor, every view held bit-identical to its planner-free
+/// recomputation and to `evalT` over the live payloads, and to the tree
+/// executor's final readings ("delta-driver/...").
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ETCH_IVM_DELTAFUZZ_H
 #define ETCH_IVM_DELTAFUZZ_H
 
-#include "fuzz/exec.h"
-#include "fuzz/fuzzcase.h"
+#include "fuzz/legs.h"
 
 #include <cstdint>
-#include <string>
 
 namespace etch {
 
-/// The K-relation-layer delta-identity matrix on \p C. \p BatchSeed
-/// derives the per-tensor batches; equal seeds yield equal batches, so a
-/// corpus case replays deterministically.
-FuzzReport runFuzzDelta(const FuzzCase &C, uint64_t BatchSeed);
+/// The `delta` registry row's case builder: the delta-identity
+/// realizations of a case, per semiring.
+FuzzCaseBuild deltaCaseBuild();
 
-/// A deterministic batch seed for \p C, stable across processes (a hash
-/// of the serialized case) — what replay uses when no seed is recorded.
-uint64_t fuzzDeltaBatchSeed(const FuzzCase &C);
-
-/// The serve-stack scenario for \p Seed under \p Backend. \p JitCacheDir
-/// overrides the JIT kernel cache for the native executor (callers verify
-/// toolchain availability first; a per-plan compile failure is reported
-/// as a divergence, never silently degraded).
-FuzzReport runFuzzDeltaDriver(uint64_t Seed, VmBackend Backend,
-                              const std::string &JitCacheDir = "");
+/// The `delta` row's seed builder: the serve-stack scenario for \p Seed
+/// under each executor in \p Legs. Native kernels use the JIT's default
+/// cache directory (`ETCH_JIT_CACHE`); a per-plan compile failure is
+/// reported as a divergence, never silently degraded.
+void deltaSeedBuild(uint64_t Seed, FuzzLegSet Legs,
+                    FuzzRealizations<F64Semiring> &Out, FuzzReport &Rep);
 
 } // namespace etch
 

@@ -44,6 +44,7 @@
 #include "support/threadpool.h"
 
 #include <limits>
+#include <memory>
 #include <vector>
 
 namespace etch {
@@ -185,14 +186,16 @@ template <Semiring S, AnIndexedStream St>
 typename S::Value parallelSumAll(ThreadPool &Pool, const St &Q,
                                  const std::vector<IdxRange> &Chunks) {
   using V = typename S::Value;
-  std::vector<V> Partials(Chunks.size(), S::zero());
+  // One element per chunk, each written by its own task — so not a
+  // std::vector, whose bool specialization packs neighbours into one word.
+  auto Partials = std::make_unique<V[]>(Chunks.size());
   Pool.parallelFor(Chunks.size(), [&](size_t C) {
     Partials[C] =
         sumAll<S>(BoundedStream<St>(Q, Chunks[C].Lo, Chunks[C].Hi));
   });
   V Acc = S::zero();
-  for (const V &P : Partials)
-    Acc = S::add(Acc, P);
+  for (size_t C = 0; C < Chunks.size(); ++C)
+    Acc = S::add(Acc, Partials[C]);
   return Acc;
 }
 

@@ -364,7 +364,7 @@ TEST(BytecodeVm, RandomizedDifferentialAcrossOptLevels) {
   // 200-seed smoke test buys extra coverage.
   for (uint64_t Seed = 50'000; Seed < 50'060; ++Seed) {
     FuzzCase C = genCase(Seed);
-    FuzzReport Rep = runFuzzCase(C, VmBackend::Both);
+    FuzzReport Rep = runFuzzCase(C); // streams, tree, bytecode
     EXPECT_TRUE(Rep.ok()) << "seed " << Seed << ": " << Rep.toString();
   }
 }

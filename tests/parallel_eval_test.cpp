@@ -248,6 +248,19 @@ TEST(ParallelSumAll, ExactForIntegerSemiring) {
   }
 }
 
+TEST(ParallelSumAll, BoolSemiringChunksWriteDisjointPartials) {
+  // Per-chunk partials are written concurrently; for the boolean semiring
+  // they must not share storage words (the TSan job checks this).
+  SparseVector<uint8_t> X(4096);
+  for (Idx I = 5; I < 4096; I += 7)
+    X.push(I, 1);
+  ThreadPool Pool(4);
+  for (size_t Chunks : {size_t(8), size_t(64)})
+    EXPECT_TRUE(parallelSumAll<BoolSemiring>(
+        Pool, X.stream(), partitionSparse(X.stream(), Chunks)))
+        << Chunks << " chunks";
+}
+
 TEST(ParallelSumAll, EmptyStreamAndEmptyChunks) {
   SparseVector<double> Empty(100);
   ThreadPool Pool(4);

@@ -18,7 +18,10 @@
 //    results no matter how many epochs a concurrent writer installs;
 //  * batching: queryBatch groups identical queries onto one dispatch
 //    each, and every result is bit-identical to per-request serial
-//    execution on an identically-loaded service.
+//    execution on an identically-loaded service;
+//  * deterministic lowering: preparing a shape again emits the same C, so
+//    a re-prepare (after a write, say) is a JIT cache hit, and concurrent
+//    prepares share no lowering state.
 //
 // The concurrency tests run under TSan in CI.
 //
@@ -26,7 +29,10 @@
 
 #include "serve/service.h"
 
+#include "compiler/c_emit.h"
+#include "compiler/jit.h"
 #include "formats/random.h"
+#include "serve/prepare.h"
 
 #include <gtest/gtest.h>
 
@@ -392,6 +398,109 @@ TEST(Serve, ConcurrentClientsSustainHighHitRateUnderWrites) {
   EXPECT_GT(HitRate, 0.9);
   // Every request is accounted for: its own dispatch or a ride-along.
   EXPECT_EQ(SS.Executions + SS.Coalesced, SS.Queries);
+}
+
+//===----------------------------------------------------------------------===//
+// Deterministic lowering (TSan)
+//===----------------------------------------------------------------------===//
+
+/// The C kernel source a prepared plan's program renders to.
+std::string kernelSource(const CachedPlan &P) {
+  auto M = deriveKernelManifest(P.Prog);
+  return M ? emitCKernel(P.Prog, *M) : std::string("<no manifest>");
+}
+
+/// Tensor names private to the lowering tests, so no other test in the
+/// same process can have compiled their kernels already.
+void loadPrivate(TensorCatalog &Cat, const ServeData &Data) {
+  SI(); // pin the attribute registration order
+  Cat.putCsr("lwA", Data.A, SI(), SJ());
+  Cat.putSparse("lwx", Data.X, SJ());
+  Cat.putDense("lwd", Data.D, SJ());
+  Cat.putSparse("lwy", Data.Y, SI());
+  Cat.putSparse("lwz", Data.Z, SI());
+  Cat.putSparse("lww", Data.W, SI());
+}
+
+TEST(Serve, RepreparingAShapeEmitsIdenticalCAndCompilesOnce) {
+  ServeData Data;
+  TensorCatalog Cat;
+  loadPrivate(Cat, Data);
+  std::string Dir =
+      (fs::path(::testing::TempDir()) / "etch-serve-test-reprepare").string();
+  std::error_code Ec;
+  fs::remove_all(Dir, Ec);
+  PrepareOptions PO;
+  PO.JitCacheDir = Dir;
+  TensorResolver Resolve = snapshotResolver(Cat.snapshot());
+
+  // Σ A·d latches skip targets at both contracted levels; Σ A·x adds the
+  // sparse-vector search temporaries.
+  for (const std::vector<std::string> &Shape :
+       {std::vector<std::string>{"lwA", "lwd"},
+        std::vector<std::string>{"lwA", "lwx"}}) {
+    std::string Err;
+    JitCacheStats Before = jitCacheStats();
+    CachedPlanRef First =
+        prepareContraction("k", Shape, Resolve, PO, nullptr, &Err);
+    ASSERT_TRUE(First) << Err;
+    JitCacheStats Mid = jitCacheStats();
+    CachedPlanRef Again =
+        prepareContraction("k", Shape, Resolve, PO, nullptr, &Err);
+    ASSERT_TRUE(Again) << Err;
+    JitCacheStats After = jitCacheStats();
+
+    EXPECT_EQ(kernelSource(*First), kernelSource(*Again))
+        << "re-lowering " << Shape[0] << "*" << Shape[1]
+        << " renamed temporaries";
+    EXPECT_EQ(First->Prog->toString(), Again->Prog->toString());
+    if (!jitToolchain().Available)
+      continue;
+    EXPECT_TRUE(First->Kernel && Again->Kernel);
+    EXPECT_EQ(Mid.Compiles - Before.Compiles, 1u);
+    EXPECT_EQ(After.Compiles - Mid.Compiles, 0u)
+        << "the re-prepared kernel missed the JIT cache";
+    EXPECT_EQ(After.MemHits - Mid.MemHits, 1u);
+  }
+  fs::remove_all(Dir, Ec);
+  if (!jitToolchain().Available)
+    GTEST_SKIP() << "no C toolchain: compile counts not checked ("
+                 << jitToolchain().Diag << ")";
+}
+
+TEST(Serve, ConcurrentPreparesOfDistinctShapesAgreeWithSerialOnes) {
+  ServeData Data;
+  TensorCatalog Cat;
+  loadPrivate(Cat, Data);
+  PrepareOptions PO;
+  PO.UseNative = false; // The race under test is in lowering, not the JIT.
+  TensorResolver Resolve = snapshotResolver(Cat.snapshot());
+  const std::vector<std::vector<std::string>> Shapes = {
+      {"lwA", "lwd"}, {"lwA", "lwx"}, {"lwy", "lwz", "lww"}, {"lwx", "lwd"}};
+
+  std::vector<std::string> Serial;
+  for (const auto &Shape : Shapes) {
+    std::string Err;
+    CachedPlanRef P = prepareContraction("k", Shape, Resolve, PO, nullptr,
+                                         &Err);
+    ASSERT_TRUE(P) << Err;
+    Serial.push_back(kernelSource(*P));
+  }
+
+  constexpr int Rounds = 3;
+  std::vector<std::string> Got(Shapes.size() * Rounds);
+  std::vector<std::thread> Threads;
+  for (size_t T = 0; T < Got.size(); ++T)
+    Threads.emplace_back([&, T] {
+      std::string Err;
+      CachedPlanRef P = prepareContraction("k", Shapes[T % Shapes.size()],
+                                           Resolve, PO, nullptr, &Err);
+      Got[T] = P ? kernelSource(*P) : "prepare failed: " + Err;
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (size_t T = 0; T < Got.size(); ++T)
+    EXPECT_EQ(Got[T], Serial[T % Shapes.size()]) << "thread " << T;
 }
 
 } // namespace

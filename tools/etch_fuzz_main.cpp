@@ -13,7 +13,7 @@
 ///   etch-fuzz --corpus tests/corpus        # write shrunken repros there
 ///   etch-fuzz --replay tests/corpus        # re-run saved cases (file/dir)
 ///   etch-fuzz --orders 6                   # sweep legal attribute orders
-///   etch-fuzz --delta --seeds 500          # incremental-maintenance legs
+///   etch-fuzz --legs tree,native           # select legs (fuzz/exec.h)
 ///   etch-fuzz --no-shrink --verbose
 ///
 /// Exit status is nonzero iff any case diverged (after shrinking) or any
@@ -27,7 +27,6 @@
 #include "fuzz/gen.h"
 #include "fuzz/reorder.h"
 #include "fuzz/shrink.h"
-#include "ivm/deltafuzz.h"
 
 #include <algorithm>
 #include <chrono>
@@ -50,18 +49,14 @@ struct Options {
   std::string ReplayPath;
   bool NoShrink = false;
   bool Verbose = false;
-  bool Formats = false; // also run the level-format cross-check matrix
-  bool Delta = false;   // the incremental-maintenance legs instead
-  bool Tiles = false;   // also run the dense-tail tiling cross-check
   double HugeProb = 0.10;
   size_t Orders = 1; // legal attribute orders per case; 1 = original only
-  VmBackend Backend = VmBackend::Both;
-  std::string JitCacheDir; // --jit-cache-dir (native backend)
+  FuzzLegSet Legs = FuzzLegSet::defaults();
 };
 
-/// Exit status for "the native backend cannot run here" (no system C
-/// compiler) — the automake SKIP convention, distinct from pass (0) and
-/// divergence (1) so CI can tell a skip from a green run.
+/// Exit status for "a selected leg cannot run here" (no system C compiler)
+/// — the automake SKIP convention, distinct from pass (0) and divergence
+/// (1) so CI can tell a skip from a green run.
 constexpr int ExitSkip = 77;
 
 [[noreturn]] void usage(const char *Argv0) {
@@ -69,9 +64,8 @@ constexpr int ExitSkip = 77;
       stderr,
       "usage: %s [--seeds N] [--start S] [--time-budget SEC]\n"
       "          [--corpus DIR] [--replay FILE|DIR] [--no-shrink]\n"
-      "          [--orders N] [--huge-prob P] [--formats] [--delta]\n"
-      "          [--tiles] [--verbose]\n"
-      "          [--backend tree|bytecode|both|native]\n"
+      "          [--orders N] [--huge-prob P] [--verbose]\n"
+      "          [--legs streams,tree,bytecode,native,formats,tiles,delta]\n"
       "          [--jit-cache-dir DIR]\n",
       Argv0);
   std::exit(2);
@@ -98,57 +92,26 @@ Options parseArgs(int Argc, char **Argv) {
       O.ReplayPath = Next();
     else if (A == "--no-shrink")
       O.NoShrink = true;
-    else if (A == "--formats")
-      O.Formats = true;
-    else if (A == "--delta")
-      O.Delta = true;
-    else if (A == "--tiles")
-      O.Tiles = true;
     else if (A == "--verbose")
       O.Verbose = true;
     else if (A == "--huge-prob")
       O.HugeProb = std::strtod(Next(), nullptr);
     else if (A == "--orders")
       O.Orders = std::strtoull(Next(), nullptr, 10);
-    else if (A == "--backend") {
-      std::string B = Next();
-      if (B == "tree")
-        O.Backend = VmBackend::Tree;
-      else if (B == "bytecode")
-        O.Backend = VmBackend::Bytecode;
-      else if (B == "both")
-        O.Backend = VmBackend::Both;
-      else if (B == "native")
-        O.Backend = VmBackend::Native;
-      else
+    else if (A == "--legs") {
+      std::string Err;
+      auto Legs = parseFuzzLegs(Next(), &Err);
+      if (!Legs) {
+        std::fprintf(stderr, "etch-fuzz: --legs: %s\n", Err.c_str());
         usage(Argv[0]);
+      }
+      O.Legs = *Legs;
     } else if (A == "--jit-cache-dir")
-      O.JitCacheDir = Next();
+      setenv("ETCH_JIT_CACHE", Next(), 1); // every JIT in the legs reads it
     else
       usage(Argv[0]);
   }
   return O;
-}
-
-/// The executor matrix, plus the level-format matrix under --formats and
-/// the dense-tail tiling matrix under --tiles (their divergences are
-/// appended, so shrinking and repro comments see them all).
-/// Under --delta the per-case matrix is the delta-rewrite identity check
-/// instead (ivm/deltafuzz.h); the batch seed derives from the case itself,
-/// so generation, shrinking, and corpus replay all rebuild the same batch.
-FuzzReport runMatrix(const FuzzCase &C, const Options &O) {
-  if (O.Delta)
-    return runFuzzDelta(C, fuzzDeltaBatchSeed(C));
-  FuzzReport Rep = runFuzzCase(C, O.Backend);
-  if (O.Formats && !Rep.Invalid) {
-    FuzzReport FRep = runFuzzFormats(C, O.Backend);
-    Rep.Divs.insert(Rep.Divs.end(), FRep.Divs.begin(), FRep.Divs.end());
-  }
-  if (O.Tiles && !Rep.Invalid) {
-    FuzzReport TRep = runFuzzTiles(C);
-    Rep.Divs.insert(Rep.Divs.end(), TRep.Divs.begin(), TRep.Divs.end());
-  }
-  return Rep;
 }
 
 /// The legs a report diverged on, comma-joined (for the repro comment).
@@ -187,13 +150,13 @@ int replay(const Options &O) {
       ++Bad;
       continue;
     }
-    FuzzReport Rep = runMatrix(*C, O);
+    FuzzReport Rep = runFuzzCase(*C, O.Legs);
     if (Rep.ok()) {
       // A clean matrix run still has to agree under alternative attribute
       // orders, so harvested cases guard regressions regardless of which
       // permutation originally triggered them.
       if (O.Orders > 1) {
-        FuzzOrderReport ORep = runFuzzCaseOrders(*C, O.Orders, O.Backend);
+        FuzzOrderReport ORep = runFuzzCaseOrders(*C, O.Orders, O.Legs);
         if (ORep.failing()) {
           ++Bad;
           std::printf("%s: order sweep: %s\n", F.c_str(),
@@ -222,36 +185,30 @@ int fuzz(const Options &O) {
   GenOptions GO;
   GO.HugeProb = O.HugeProb;
 
-  uint64_t Ran = 0, Diverged = 0;
-  for (uint64_t Seed = O.Start; Seed < O.Start + O.Seeds; ++Seed) {
+  // unsigned long long is what printf's %llu reads: no casts below.
+  unsigned long long Ran = 0, Diverged = 0;
+  for (unsigned long long Seed = O.Start; Seed < O.Start + O.Seeds; ++Seed) {
     if (O.TimeBudget > 0 && Elapsed() > O.TimeBudget) {
-      std::printf("time budget reached after %llu seed(s)\n",
-                  static_cast<unsigned long long>(Ran));
+      std::printf("time budget reached after %llu seed(s)\n", Ran);
       break;
     }
     FuzzCase C = genCase(Seed, GO);
-    FuzzReport Rep = runMatrix(C, O);
+    FuzzReport Rep = runFuzzCase(C, O.Legs);
     ++Ran;
-    if (O.Delta) {
-      // The serve-stack scenario is seeded independently of the case; its
-      // failures are reported directly (there is no FuzzCase to shrink).
-      FuzzReport DRep = runFuzzDeltaDriver(Seed, O.Backend, O.JitCacheDir);
-      if (DRep.failing()) {
-        ++Diverged;
-        std::printf("seed %llu: driver scenario: %s\n",
-                    static_cast<unsigned long long>(Seed),
-                    DRep.toString().c_str());
-      }
+    // Seed-driven scenarios generate their own inputs; their failures are
+    // reported directly (there is no FuzzCase to shrink).
+    FuzzReport SRep = runFuzzSeed(Seed, O.Legs);
+    if (SRep.failing()) {
+      ++Diverged;
+      std::printf("seed %llu: scenario: %s\n", Seed, SRep.toString().c_str());
     }
     if (O.Verbose && Ran % 100 == 0)
-      std::printf("... %llu seeds, %llu divergence(s), %.1fs\n",
-                  static_cast<unsigned long long>(Ran),
-                  static_cast<unsigned long long>(Diverged), Elapsed());
+      std::printf("... %llu seeds, %llu divergence(s), %.1fs\n", Ran,
+                  Diverged, Elapsed());
     if (Rep.Invalid) {
       // The generator asserts validity, so this is itself a bug.
       std::printf("seed %llu: generator produced an invalid case: %s\n",
-                  static_cast<unsigned long long>(Seed),
-                  Rep.ValidationError.c_str());
+                  Seed, Rep.ValidationError.c_str());
       ++Diverged;
       continue;
     }
@@ -259,34 +216,31 @@ int fuzz(const Options &O) {
     FuzzOrderReport ORep;
     if (!MatrixFail) {
       if (O.Orders > 1)
-        ORep = runFuzzCaseOrders(C, O.Orders, O.Backend);
+        ORep = runFuzzCaseOrders(C, O.Orders, O.Legs);
       if (!ORep.failing())
         continue;
     }
     ++Diverged;
     if (MatrixFail)
-      std::printf("seed %llu: %s\n", static_cast<unsigned long long>(Seed),
-                  Rep.toString().c_str());
+      std::printf("seed %llu: %s\n", Seed, Rep.toString().c_str());
     else
-      std::printf("seed %llu: order sweep: %s\n",
-                  static_cast<unsigned long long>(Seed),
+      std::printf("seed %llu: order sweep: %s\n", Seed,
                   ORep.toString().c_str());
     // A matrix divergence shrinks under the plain matrix; an order-only
     // divergence must keep failing the sweep, or shrinking loses the bug.
     auto StillFails = [&O, MatrixFail](const FuzzCase &Cand) {
-      return MatrixFail ? runMatrix(Cand, O).failing()
-                        : runFuzzCaseOrders(Cand, O.Orders, O.Backend).failing();
+      return MatrixFail ? runFuzzCase(Cand, O.Legs).failing()
+                        : runFuzzCaseOrders(Cand, O.Orders, O.Legs).failing();
     };
     FuzzCase Min = C;
     if (!O.NoShrink) {
       Min = shrinkCase(C, StillFails);
-      std::printf("seed %llu: shrunk %zu -> %zu\n",
-                  static_cast<unsigned long long>(Seed), fuzzCaseSize(C),
+      std::printf("seed %llu: shrunk %zu -> %zu\n", Seed, fuzzCaseSize(C),
                   fuzzCaseSize(Min));
     }
     std::string Comment = "seed " + std::to_string(Seed);
     if (MatrixFail)
-      Comment += "; diverging legs: " + legList(runMatrix(Min, O));
+      Comment += "; diverging legs: " + legList(runFuzzCase(Min, O.Legs));
     else
       Comment += "; diverges under an attribute-order sweep (--orders)";
     if (!O.CorpusDir.empty()) {
@@ -294,8 +248,7 @@ int fuzz(const Options &O) {
       std::string Path =
           O.CorpusDir + "/fuzz-seed-" + std::to_string(Seed) + ".txt";
       if (writeCaseFile(Path, Min, Comment))
-        std::printf("seed %llu: wrote %s\n",
-                    static_cast<unsigned long long>(Seed), Path.c_str());
+        std::printf("seed %llu: wrote %s\n", Seed, Path.c_str());
       else
         std::fprintf(stderr, "etch-fuzz: cannot write %s\n", Path.c_str());
     } else {
@@ -303,9 +256,8 @@ int fuzz(const Options &O) {
                   serializeCase(Min, Comment).c_str());
     }
   }
-  std::printf("ran %llu seed(s): %llu divergence(s), %.1fs\n",
-              static_cast<unsigned long long>(Ran),
-              static_cast<unsigned long long>(Diverged), Elapsed());
+  std::printf("ran %llu seed(s): %llu divergence(s), %.1fs\n", Ran,
+              Diverged, Elapsed());
   return Diverged ? 1 : 0;
 }
 
@@ -313,22 +265,21 @@ int fuzz(const Options &O) {
 
 int main(int Argc, char **Argv) {
   Options O = parseArgs(Argc, Argv);
-  if (O.Backend == VmBackend::Native || O.Tiles) {
-    // The executor matrix resolves its cache dir through the environment.
-    if (!O.JitCacheDir.empty())
-      setenv("ETCH_JIT_CACHE", O.JitCacheDir.c_str(), 1);
+  std::string Legs = fuzzLegNames(O.Legs);
+  if (fuzzLegsNeedToolchain(O.Legs)) {
     const JitToolchain &Tc = jitToolchain();
     if (!Tc.Available) {
-      // A skip, loudly logged — NOT a pass: the native legs did not run.
+      // A skip, loudly logged — NOT a pass: the JIT legs did not run.
       std::fprintf(stderr,
-                   "etch-fuzz: SKIP --backend native: no usable system C "
-                   "compiler (%s)\n",
-                   Tc.Diag.c_str());
+                   "etch-fuzz: SKIP --legs %s: no usable system C compiler "
+                   "(%s)\n",
+                   Legs.c_str(), Tc.Diag.c_str());
       return ExitSkip;
     }
-    std::fprintf(stderr, "etch-fuzz: native backend via %s (%s)\n",
-                 Tc.Cmd.c_str(), Tc.VersionLine.c_str());
+    std::fprintf(stderr, "etch-fuzz: JIT legs via %s (%s)\n", Tc.Cmd.c_str(),
+                 Tc.VersionLine.c_str());
   }
+  std::fprintf(stderr, "etch-fuzz: legs %s\n", Legs.c_str());
   if (!O.ReplayPath.empty())
     return replay(O);
   return fuzz(O);
