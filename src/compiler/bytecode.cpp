@@ -6,6 +6,7 @@
 
 #include "compiler/bytecode.h"
 
+#include "compiler/defined.h"
 #include "compiler/ops.h"
 
 #include <bit>
@@ -26,18 +27,16 @@ int fileOf(ImpType T) { return static_cast<int>(T); }
 
 /// Compiles one P tree to a BytecodeProgram. Two passes: an interning /
 /// typing pre-pass over every name (so slot counts are fixed before code
-/// emission), then a single emission pass that tracks the
-/// definitely-defined name sets (the verifier's dominance discipline:
-/// branch-arm intersection, zero-trip loops) to decide where runtime
-/// defined-ness guards are required.
+/// emission), then a single emission pass that drives the
+/// definitely-defined analysis (compiler/defined.h) in execution order and
+/// emits a runtime defined-ness check exactly where it cannot prove one
+/// unnecessary.
 class BcCompiler {
 public:
   BytecodeProgram run(const PStmt &Root) {
     internStmt(Root);
     if (!P.ok())
       return std::move(P);
-    DefScalar.assign(P.Scalars.size(), 0);
-    DefArray.assign(P.Arrays.size(), 0);
     emitStmt(Root);
     put({BcOp::Halt, 0, 0, 0});
     return std::move(P);
@@ -218,8 +217,8 @@ private:
   /// exactly.
   int32_t Pending = 0;
 
-  /// Definitely-defined sets at the current emission point.
-  std::vector<uint8_t> DefScalar, DefArray;
+  /// Names definitely defined at the current emission point.
+  DefinedSet Defs;
 
   /// Per-type free lists for expression temporaries.
   std::vector<int32_t> FreeTemps[3];
@@ -304,73 +303,25 @@ private:
       FreeTemps[fileOf(T)].push_back(V.Reg);
   }
 
-  /// True when evaluating \p E can latch an error at runtime: a bounds
-  /// check (any Access) or a read of a name the dominance analysis cannot
-  /// prove defined. Pure arithmetic cannot error (i64 division by zero is
-  /// UB in the IR semantics, identically in both VMs).
-  bool exprCanError(const EExpr &E) const {
-    switch (E.kind()) {
-    case EKind::Const:
-      return false;
-    case EKind::Var:
-      return !DefScalar[static_cast<size_t>(
-          ScalarId.at(E.name()))];
-    case EKind::Access:
-      return true;
-    case EKind::Call:
-      for (const auto &A : E.args())
-        if (exprCanError(*A))
-          return true;
-      return false;
-    }
-    ETCH_UNREACHABLE("unknown EKind");
-  }
-
   /// The dedicated opcode for a built-in eager op, or nullopt for ops that
   /// go through the generic call table. The opcode semantics must match
   /// OpDef::Spec bit for bit (see compiler/ops.cpp).
   static std::optional<BcOp> nativeOp(const OpDef *Op) {
-    if (Op == Ops::addI())
-      return BcOp::AddI;
-    if (Op == Ops::subI())
-      return BcOp::SubI;
-    if (Op == Ops::mulI())
-      return BcOp::MulI;
-    if (Op == Ops::divI())
-      return BcOp::DivI;
-    if (Op == Ops::modI())
-      return BcOp::ModI;
-    if (Op == Ops::minI())
-      return BcOp::MinI;
-    if (Op == Ops::maxI())
-      return BcOp::MaxI;
-    if (Op == Ops::ltI())
-      return BcOp::LtI;
-    if (Op == Ops::leI())
-      return BcOp::LeI;
-    if (Op == Ops::eqI())
-      return BcOp::EqI;
-    if (Op == Ops::neI())
-      return BcOp::NeI;
-    if (Op == Ops::addF())
-      return BcOp::AddF;
-    if (Op == Ops::subF())
-      return BcOp::SubF;
-    if (Op == Ops::mulF())
-      return BcOp::MulF;
-    if (Op == Ops::divF())
-      return BcOp::DivF;
-    if (Op == Ops::minF())
-      return BcOp::MinF;
-    if (Op == Ops::ltF())
-      return BcOp::LtF;
-    if (Op == Ops::notB())
-      return BcOp::NotB;
-    if (Op == Ops::boolToI())
-      return BcOp::BoolToI;
-    if (Op == Ops::i64ToF())
-      return BcOp::I64ToF;
-    return std::nullopt;
+    static const std::unordered_map<const OpDef *, BcOp> Native = {
+        {Ops::addI(), BcOp::AddI},       {Ops::subI(), BcOp::SubI},
+        {Ops::mulI(), BcOp::MulI},       {Ops::divI(), BcOp::DivI},
+        {Ops::modI(), BcOp::ModI},       {Ops::minI(), BcOp::MinI},
+        {Ops::maxI(), BcOp::MaxI},       {Ops::ltI(), BcOp::LtI},
+        {Ops::leI(), BcOp::LeI},         {Ops::eqI(), BcOp::EqI},
+        {Ops::neI(), BcOp::NeI},         {Ops::addF(), BcOp::AddF},
+        {Ops::subF(), BcOp::SubF},       {Ops::mulF(), BcOp::MulF},
+        {Ops::divF(), BcOp::DivF},       {Ops::minF(), BcOp::MinF},
+        {Ops::ltF(), BcOp::LtF},         {Ops::notB(), BcOp::NotB},
+        {Ops::boolToI(), BcOp::BoolToI}, {Ops::i64ToF(), BcOp::I64ToF}};
+    auto It = Native.find(Op);
+    if (It == Native.end())
+      return std::nullopt;
+    return It->second;
   }
 
   static BcOp movOp(ImpType T) {
@@ -396,19 +347,17 @@ private:
       return {internConst(E.constant()), false};
     case EKind::Var: {
       int32_t Id = ScalarId.at(E.name());
-      if (!DefScalar[static_cast<size_t>(Id)])
+      if (!Defs.scalar(E.name()))
         put({BcOp::CheckDef, Id, 0, 0});
       return {P.Scalars[static_cast<size_t>(Id)].Reg, false};
     }
     case EKind::Access: {
       int32_t Id = ArrayId.at(E.name());
       const BcArray &A = P.Arrays[static_cast<size_t>(Id)];
-      // The tree VM reports an unbound array *before* evaluating the
-      // index, so when the index itself can error the defined-ness check
-      // must come first. Otherwise the load's bounds check subsumes it
-      // (an unbound slot is empty, and the error path picks the message
-      // off the defined bit).
-      if (!DefArray[static_cast<size_t>(Id)] && exprCanError(*E.args()[0]))
+      // Unless the index can fail first, the load's bounds check catches
+      // an unbound array and boundsError picks the message off the
+      // defined bit.
+      if (Defs.needsArrayCheck(E))
         put({BcOp::CheckArr, Id, /*store=*/0, 0});
       Val I = emitExpr(*E.args()[0]);
       release(ImpType::I64, I);
@@ -531,11 +480,11 @@ private:
     if (V.Reg != Sc.Reg)
       put({movOp(Sc.Ty), Sc.Reg, V.Reg, 0});
     release(Sc.Ty, V);
-    if (!DefScalar[static_cast<size_t>(Id)]) {
+    if (!Defs.scalar(S.name())) {
       // First possible definition on this path: the defined bit feeds
       // both later guarded reads and the final write-back set.
       put({BcOp::SetDef, Id, 0, 0});
-      DefScalar[static_cast<size_t>(Id)] = 1;
+      Defs.define(S);
     }
   }
 
@@ -553,12 +502,7 @@ private:
       put({BcOp::JumpIfFalse, C.Reg, 0, 0});
       int32_t PatchEnd = static_cast<int32_t>(P.Code.size() - 1);
       release(ImpType::Bool, C);
-      // Definitions inside the body may not execute (zero-trip loops):
-      // analyse the body against a copy and discard it.
-      std::vector<uint8_t> SavedS = DefScalar, SavedA = DefArray;
-      emitStmt(*S.children()[0]);
-      DefScalar = std::move(SavedS);
-      DefArray = std::move(SavedA);
+      Defs.loopBody([&] { emitStmt(*S.children()[0]); });
       put({BcOp::Jump, Loop, 0, 0});
       P.Code[static_cast<size_t>(PatchEnd)].B = label();
       return;
@@ -568,22 +512,18 @@ private:
       put({BcOp::JumpIfFalse, C.Reg, 0, 0});
       int32_t PatchElse = static_cast<int32_t>(P.Code.size() - 1);
       release(ImpType::Bool, C);
-      std::vector<uint8_t> Before = DefScalar, BeforeA = DefArray;
-      emitStmt(*S.children()[0]);
-      std::vector<uint8_t> ThenS = std::move(DefScalar),
-                           ThenA = std::move(DefArray);
-      DefScalar = std::move(Before);
-      DefArray = std::move(BeforeA);
-      put({BcOp::Jump, 0, 0, 0});
-      int32_t PatchEnd = static_cast<int32_t>(P.Code.size() - 1);
-      P.Code[static_cast<size_t>(PatchElse)].B = label();
-      emitStmt(*S.children()[1]);
+      int32_t PatchEnd = 0;
+      Defs.branch(
+          [&] {
+            emitStmt(*S.children()[0]);
+            put({BcOp::Jump, 0, 0, 0});
+            PatchEnd = static_cast<int32_t>(P.Code.size() - 1);
+          },
+          [&] {
+            P.Code[static_cast<size_t>(PatchElse)].B = label();
+            emitStmt(*S.children()[1]);
+          });
       P.Code[static_cast<size_t>(PatchEnd)].A = label();
-      // Only names defined on both arms are definitely defined after.
-      for (size_t I = 0; I < DefScalar.size(); ++I)
-        DefScalar[I] = DefScalar[I] && ThenS[I];
-      for (size_t I = 0; I < DefArray.size(); ++I)
-        DefArray[I] = DefArray[I] && ThenA[I];
       return;
     }
     case PKind::Noop:
@@ -618,7 +558,7 @@ private:
                 : A.Elem == ImpType::F64 ? BcOp::AllocF
                                          : BcOp::AllocB;
       put({Op, A.Slot, N.Reg, Id});
-      DefArray[static_cast<size_t>(Id)] = 1;
+      Defs.define(S);
       return;
     }
     }

@@ -19,9 +19,10 @@
 /// through a fixed context struct (EtchJitAbi below), with nothing baked
 /// in, so the same compiled object serves any inputs. The kernel preserves
 /// the tree VM's observable semantics: every array access and store is
-/// bounds-checked and every read of a possibly-undefined name is guarded,
-/// with the exact error text the tree VM produces, and (optionally) the
-/// same per-statement step accounting. This is the unit the JIT backend
+/// bounds-checked and every read the definitely-defined analysis
+/// (compiler/defined.h) cannot prove defined is guarded, with the exact
+/// error text the tree VM produces, and (optionally) the same
+/// per-statement step accounting. This is the unit the JIT backend
 /// (compiler/jit.h) compiles with the system C compiler and dlopens.
 ///
 //===----------------------------------------------------------------------===//

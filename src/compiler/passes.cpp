@@ -2,6 +2,7 @@
 
 #include "compiler/passes.h"
 
+#include "compiler/defined.h"
 #include "compiler/ops.h"
 
 #include <algorithm>
@@ -66,11 +67,12 @@ private:
            impTypeName(It->second) + " and " + impTypeName(Elem));
   }
 
+  /// Names the program declares must be definitely defined at every use;
+  /// externals are the caller's business.
   void checkDeclOrder(const std::string &Name, bool IsArray,
                       const char *Use) {
-    const auto &Declared = IsArray ? DeclaredArrays : DeclaredScalars;
-    const auto &Seen = IsArray ? SeenArrayDecls : SeenScalarDecls;
-    if (Declared.count(Name) && !Seen.count(Name))
+    if (IsArray ? DeclaredArrays.count(Name) && !Defs.array(Name)
+                : DeclaredScalars.count(Name) && !Defs.scalar(Name))
       fail(std::string(Use) + " of '" + Name +
            "' before a dominating declaration");
   }
@@ -132,14 +134,6 @@ private:
     ETCH_UNREACHABLE("unknown EKind");
   }
 
-  static std::set<std::string> intersect(const std::set<std::string> &A,
-                                         const std::set<std::string> &B) {
-    std::set<std::string> Out;
-    std::set_intersection(A.begin(), A.end(), B.begin(), B.end(),
-                          std::inserter(Out, Out.begin()));
-    return Out;
-  }
-
   void checkStmt(const PStmt &P) {
     if (!Error.empty())
       return;
@@ -154,14 +148,7 @@ private:
         return;
       }
       checkExpr(*P.cond());
-      // Declarations inside the body dominate uses later in the body, but
-      // the loop may run zero times, so they dominate nothing after it.
-      std::set<std::string> SavedS = SeenScalarDecls;
-      std::set<std::string> SavedA = SeenArrayDecls;
-      for (const PRef &C : P.children())
-        checkStmt(*C);
-      SeenScalarDecls = std::move(SavedS);
-      SeenArrayDecls = std::move(SavedA);
+      Defs.loopBody([&] { checkStmt(*P.children()[0]); });
       return;
     }
     case PKind::Branch: {
@@ -170,18 +157,8 @@ private:
         return;
       }
       checkExpr(*P.cond());
-      // Each arm sees only declarations dominating the branch; after it,
-      // only declarations made on BOTH paths dominate the continuation.
-      std::set<std::string> SavedS = SeenScalarDecls;
-      std::set<std::string> SavedA = SeenArrayDecls;
-      checkStmt(*P.children()[0]);
-      std::set<std::string> ThenS = std::move(SeenScalarDecls);
-      std::set<std::string> ThenA = std::move(SeenArrayDecls);
-      SeenScalarDecls = std::move(SavedS);
-      SeenArrayDecls = std::move(SavedA);
-      checkStmt(*P.children()[1]);
-      SeenScalarDecls = intersect(ThenS, SeenScalarDecls);
-      SeenArrayDecls = intersect(ThenA, SeenArrayDecls);
+      Defs.branch([&] { checkStmt(*P.children()[0]); },
+                  [&] { checkStmt(*P.children()[1]); });
       return;
     }
     case PKind::Noop:
@@ -191,6 +168,7 @@ private:
       checkExpr(*P.valueExpr());
       noteScalar(P.name(), P.valueExpr()->type());
       checkDeclOrder(P.name(), /*IsArray=*/false, "store");
+      Defs.define(P);
       return;
     case PKind::StoreArr:
       if (P.indexExpr()->type() != ImpType::I64) {
@@ -211,7 +189,7 @@ private:
         return;
       }
       noteScalar(P.name(), P.type());
-      SeenScalarDecls.insert(P.name());
+      Defs.define(P);
       return;
     case PKind::DeclArr:
       if (P.valueExpr()->type() != ImpType::I64) {
@@ -220,14 +198,14 @@ private:
       }
       checkExpr(*P.valueExpr());
       noteArray(P.name(), P.type());
-      SeenArrayDecls.insert(P.name());
+      Defs.define(P);
       return;
     }
     ETCH_UNREACHABLE("unknown PKind");
   }
 
   std::set<std::string> DeclaredScalars, DeclaredArrays;
-  std::set<std::string> SeenScalarDecls, SeenArrayDecls;
+  DefinedSet Defs;
   std::map<std::string, ImpType> ScalarTypes, ArrayTypes;
   std::string Error;
 };
@@ -780,28 +758,16 @@ bool containsVarOrAccess(const ERef &E) {
   return Found;
 }
 
-/// True when evaluating \p E cannot fail: no array accesses, only total
-/// eager ops, and every variable read is defined before the loop (or
-/// external input state).
-bool isTotalExpr(const ERef &E, const std::set<std::string> &DefinedBefore,
-                 const std::set<std::string> &DeclaredAnywhere) {
-  switch (E->kind()) {
-  case EKind::Const:
-    return true;
-  case EKind::Var:
-    return DefinedBefore.count(E->name()) ||
-           !DeclaredAnywhere.count(E->name());
-  case EKind::Access:
-    return false;
-  case EKind::Call:
-    if (E->op()->Lazy != OpDef::Laziness::Eager || !isTotalOp(E->op()))
-      return false;
-    for (const ERef &A : E->args())
-      if (!isTotalExpr(A, DefinedBefore, DeclaredAnywhere))
-        return false;
-    return true;
-  }
-  ETCH_UNREACHABLE("unknown EKind");
+/// True when evaluating \p E at the loop entry described by \p Defs cannot
+/// fail: the definedness analysis finds no array access and no read of a
+/// possibly-undefined name, and every op is a total eager one.
+bool isTotalExpr(const ERef &E, const DefinedSet &Defs) {
+  bool Total = !Defs.canError(*E);
+  forEachExprNode(E, [&](const EExpr &N) {
+    if (N.kind() == EKind::Call && !isTotalOp(N.op()))
+      Total = false;
+  });
+  return Total;
 }
 
 /// Collects maximal hoistable subtrees of \p E into \p Out (deduplicated
@@ -815,12 +781,10 @@ bool isTotalExpr(const ERef &E, const std::set<std::string> &DefinedBefore,
 /// initially — so recursion into them drops FromCond and falls back to the
 /// cannot-fail isTotalExpr rule.
 void collectCandidates(const ERef &E, const WriteSet &BodyW, bool FromCond,
-                       const std::set<std::string> &DefinedBefore,
-                       const std::set<std::string> &DeclaredAnywhere,
-                       std::vector<ERef> &Out) {
+                       const DefinedSet &Defs, std::vector<ERef> &Out) {
   bool Hoistable = (E->kind() == EKind::Call || E->kind() == EKind::Access) &&
                    containsVarOrAccess(E) && exprInvariantUnder(E, BodyW) &&
-                   (FromCond || isTotalExpr(E, DefinedBefore, DeclaredAnywhere));
+                   (FromCond || isTotalExpr(E, Defs));
   if (Hoistable) {
     for (const ERef &Seen : Out)
       if (exprEquals(Seen, E))
@@ -833,8 +797,7 @@ void collectCandidates(const ERef &E, const WriteSet &BodyW, bool FromCond,
   const auto &Args = E->args();
   for (size_t I = 0; I < Args.size(); ++I) {
     bool ArgFromCond = FromCond && !(IsLazy && I > 0);
-    collectCandidates(Args[I], BodyW, ArgFromCond, DefinedBefore,
-                      DeclaredAnywhere, Out);
+    collectCandidates(Args[I], BodyW, ArgFromCond, Defs, Out);
   }
 }
 
@@ -857,45 +820,38 @@ struct HoistNames {
   }
 };
 
-PRef hoistRec(const PRef &P, std::set<std::string> &Defined,
-              const std::set<std::string> &DeclaredAnywhere,
-              HoistNames &Names) {
+PRef hoistRec(const PRef &P, DefinedSet &Defs, HoistNames &Names) {
   switch (P->kind()) {
   case PKind::Seq: {
     std::vector<PRef> NewCh;
     NewCh.reserve(P->children().size());
     bool Changed = false;
     for (const PRef &C : P->children()) {
-      PRef NC = hoistRec(C, Defined, DeclaredAnywhere, Names);
+      PRef NC = hoistRec(C, Defs, Names);
       Changed |= NC != C;
-      // Only unconditional definitions extend the defined set.
-      if (C->kind() == PKind::DeclVar || C->kind() == PKind::StoreVar)
-        Defined.insert(C->name());
+      Defs.define(*C);
       NewCh.push_back(std::move(NC));
     }
     return Changed ? PStmt::seq(std::move(NewCh)) : P;
   }
   case PKind::Branch: {
-    // Definitions inside an arm are conditional: recurse with copies.
-    std::set<std::string> DT = Defined, DE = Defined;
-    PRef NT = hoistRec(P->children()[0], DT, DeclaredAnywhere, Names);
-    PRef NE = hoistRec(P->children()[1], DE, DeclaredAnywhere, Names);
+    PRef NT, NE;
+    Defs.branch([&] { NT = hoistRec(P->children()[0], Defs, Names); },
+                [&] { NE = hoistRec(P->children()[1], Defs, Names); });
     if (NT == P->children()[0] && NE == P->children()[1])
       return P;
     return PStmt::branch(P->cond(), std::move(NT), std::move(NE));
   }
   case PKind::While: {
-    std::set<std::string> DB = Defined;
-    PRef Body = hoistRec(P->children()[0], DB, DeclaredAnywhere, Names);
+    PRef Body;
+    Defs.loopBody([&] { Body = hoistRec(P->children()[0], Defs, Names); });
     WriteSet BodyW;
     collectStmtWrites(Body, BodyW);
 
     std::vector<ERef> Cands;
-    collectCandidates(P->cond(), BodyW, /*FromCond=*/true, Defined,
-                      DeclaredAnywhere, Cands);
+    collectCandidates(P->cond(), BodyW, /*FromCond=*/true, Defs, Cands);
     forEachProgramExpr(Body, [&](const ERef &E) {
-      collectCandidates(E, BodyW, /*FromCond=*/false, Defined,
-                        DeclaredAnywhere, Cands);
+      collectCandidates(E, BodyW, /*FromCond=*/false, Defs, Cands);
     });
     if (Cands.empty())
       return Body == P->children()[0] ? P
@@ -926,23 +882,16 @@ PRef hoistRec(const PRef &P, std::set<std::string> &Defined,
 } // namespace
 
 PRef etch::hoistLoopInvariantsPass(const PRef &P) {
-  std::set<std::string> DeclaredAnywhere;
+  WriteSet Writes;
+  collectStmtWrites(P, Writes);
+  ReadSet Reads;
+  forEachProgramExpr(P, [&](const ERef &E) { collectExprReads(E, Reads); });
   HoistNames Names;
-  forEachStmtNode(P, [&](const PStmt &S) {
-    if (S.kind() == PKind::DeclVar || S.kind() == PKind::DeclArr)
-      DeclaredAnywhere.insert(S.name());
-    if (S.kind() == PKind::DeclVar || S.kind() == PKind::DeclArr ||
-        S.kind() == PKind::StoreVar || S.kind() == PKind::StoreArr)
-      Names.Used.insert(S.name());
-  });
-  forEachProgramExpr(P, [&](const ERef &E) {
-    forEachExprNode(E, [&](const EExpr &N) {
-      if (N.kind() == EKind::Var || N.kind() == EKind::Access)
-        Names.Used.insert(N.name());
-    });
-  });
-  std::set<std::string> Defined;
-  return hoistRec(P, Defined, DeclaredAnywhere, Names);
+  for (const auto *Set :
+       {&Writes.Scalars, &Writes.Arrays, &Reads.Scalars, &Reads.Arrays})
+    Names.Used.insert(Set->begin(), Set->end());
+  DefinedSet Defs;
+  return hoistRec(P, Defs, Names);
 }
 
 //===----------------------------------------------------------------------===//

@@ -52,9 +52,10 @@ namespace etch {
 ///     dominating declaration: declarations inside one branch arm do not
 ///     license uses in the other arm or after the branch (unless both arms
 ///     declare), and declarations inside a loop body do not license uses
-///     after the loop (it may run zero times). Names the program never
-///     declares are treated as externals bound by the caller (input
-///     tensors, caller-declared outputs).
+///     after the loop (it may run zero times) — the definitely-defined
+///     analysis of compiler/defined.h. Names the program never declares
+///     are treated as externals bound by the caller (input tensors,
+///     caller-declared outputs) and are not checked.
 ///
 /// Returns nullopt on success, a diagnostic otherwise. The PassManager runs
 /// this between every pass when PipelineOptions::Verify is set.
@@ -183,9 +184,10 @@ PRef eliminateImpliedConditionsPass(const PRef &P);
 /// at least once, so hoisting is safe — but subexpressions under a lazy
 /// guard, like the right operand of `&&`, may never run and are held to
 /// the stricter body rule), and total invariant subexpressions of the body
-/// (no array accesses, no trapping or lazy ops, variables defined before
-/// the loop — evaluation cannot fail, so executing it when the body would
-/// not have run is safe).
+/// (no array accesses, no trapping or lazy ops, every variable definitely
+/// defined at loop entry per compiler/defined.h, where an external is
+/// undefined until stored — evaluation cannot fail, so executing it when
+/// the body would not have run is safe).
 PRef hoistLoopInvariantsPass(const PRef &P);
 
 } // namespace etch

@@ -94,21 +94,6 @@ private:
     }
   }
 
-  /// A raw entry value for the chosen semiring. Small exact values, with
-  /// occasional explicit semiring zeros (0, or +inf under (min,+)) to
-  /// exercise pruning paths.
-  double genValue() {
-    if (Semiring == "i64")
-      return static_cast<double>(R.nextInRange(-3, 3));
-    if (Semiring == "bool")
-      return R.nextBool(0.9) ? 1.0 : 0.0;
-    if (Semiring == "minplus")
-      return R.nextBool(0.06) ? std::numeric_limits<double>::infinity()
-                              : static_cast<double>(R.nextInRange(-6, 12)) *
-                                    0.5;
-    return static_cast<double>(R.nextInRange(-8, 8)) * 0.5; // f64
-  }
-
   FuzzFormat pickFormat(size_t Arity) {
     switch (Arity) {
     case 1:
@@ -162,7 +147,7 @@ private:
         Got.insert(std::move(Tu));
       }
       for (const Tuple &Tu : Got)
-        T.Entries.push_back({Tu, genValue()});
+        T.Entries.push_back({Tu, genFuzzValue(R, Semiring)});
     } else {
       uint64_t Uni = 1;
       for (Attr At : Sh)
@@ -180,7 +165,7 @@ private:
           Tu[I] = static_cast<Idx>(Rem % D);
           Rem /= D;
         }
-        T.Entries.push_back({std::move(Tu), genValue()});
+        T.Entries.push_back({std::move(Tu), genFuzzValue(R, Semiring)});
       }
     }
     Tensors.push_back(T);
@@ -422,6 +407,18 @@ private:
 };
 
 } // namespace
+
+double etch::genFuzzValue(Rng &R, const std::string &Semiring) {
+  if (Semiring == "i64")
+    return static_cast<double>(R.nextInRange(-3, 3));
+  if (Semiring == "bool")
+    return R.nextBool(0.9) ? 1.0 : 0.0;
+  if (Semiring == "minplus")
+    return R.nextBool(0.06)
+               ? std::numeric_limits<double>::infinity()
+               : static_cast<double>(R.nextInRange(-6, 12)) * 0.5;
+  return static_cast<double>(R.nextInRange(-8, 8)) * 0.5; // f64
+}
 
 FuzzCase etch::genCase(uint64_t Seed, const GenOptions &Opts) {
   return Gen(Seed, Opts).run();

@@ -30,6 +30,7 @@
 #include "fuzz/fuzzcase.h"
 
 #include <cstdint>
+#include <string>
 
 namespace etch {
 
@@ -39,6 +40,15 @@ struct GenOptions {
   /// Maximum operator depth of the generated expression tree.
   int MaxDepth = 4;
 };
+
+class Rng;
+
+/// A raw entry value for \p Semiring (a FuzzCase::SemiringName): dyadic
+/// rationals of bounded magnitude, so sums and products stay exact even
+/// over f64, with occasional explicit semiring zeros (0, or +inf under
+/// (min,+)) to exercise pruning paths. The case generator and the delta
+/// leg's batches both draw from it, so changing it changes every seed.
+double genFuzzValue(Rng &R, const std::string &Semiring);
 
 /// Generates the case for \p Seed. Deterministic: equal seeds and options
 /// yield structurally identical cases.

@@ -5,6 +5,7 @@
 #include "core/eval.h"
 #include "core/expr.h"
 #include "fuzz/corpus.h"
+#include "fuzz/gen.h"
 #include "ivm/delta.h"
 #include "ivm/maintain.h"
 #include "serve/catalog.h"
@@ -14,7 +15,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -22,21 +22,6 @@
 using namespace etch;
 
 namespace {
-
-/// The generator's per-semiring value pool (fuzz/gen.cpp): dyadic
-/// rationals of bounded magnitude, so the delta identity holds bit-for-bit
-/// even over f64.
-double rawDeltaValue(Rng &R, const std::string &Semiring) {
-  if (Semiring == "i64")
-    return static_cast<double>(R.nextInRange(-3, 3));
-  if (Semiring == "bool")
-    return R.nextBool(0.9) ? 1.0 : 0.0;
-  if (Semiring == "minplus")
-    return R.nextBool(0.06)
-               ? std::numeric_limits<double>::infinity()
-               : static_cast<double>(R.nextInRange(-6, 12)) * 0.5;
-  return static_cast<double>(R.nextInRange(-8, 8)) * 0.5; // f64
-}
 
 uint64_t mix(uint64_t A, uint64_t B) {
   uint64_t Z = A + 0x9e3779b97f4a7c15ULL * (B + 1);
@@ -78,7 +63,7 @@ KRelation<S> genDelta(const FuzzCase &C, const FuzzTensor &T,
         Tu[Ax] = static_cast<Idx>(R.nextBelow(static_cast<uint64_t>(Dim)));
       }
     }
-    D.insert(Tu, fuzzValue<S>(rawDeltaValue(R, C.SemiringName)));
+    D.insert(Tu, fuzzValue<S>(genFuzzValue(R, C.SemiringName)));
   }
   D.pruneZeros();
   return D;

@@ -10,19 +10,31 @@
 // that contract — on hand-built programs exercising every error path, on
 // the compiled Fig. 2 kernel at O0/O1/O2, on the lazy operators guarding
 // out-of-bounds accesses, and on randomized fuzz cases through the full
-// differential matrix.
+// differential matrix. The hand-built programs also run as step-counted
+// native kernels (compiler/jit.h) when a C toolchain is found: both
+// backends elide the definedness checks compiler/defined.h proves
+// unnecessary, and must still report the tree VM's errors, in its order,
+// after its step count.
 //
 //===----------------------------------------------------------------------===//
 
 #include "compiler/bytecode.h"
 #include "compiler/frontend.h"
+#include "compiler/jit.h"
 #include "compiler/ops.h"
+#include "formats/random.h"
 #include "fuzz/exec.h"
 #include "fuzz/gen.h"
+#include "serve/catalog.h"
+#include "serve/prepare.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <mutex>
+#include <unistd.h>
 
 using namespace etch;
 
@@ -39,20 +51,64 @@ ERef eAddF(ERef A, ERef B) {
   return EExpr::call(Ops::addF(), {std::move(A), std::move(B)});
 }
 
-/// The two executors' outcomes on one program, each against its own copy
-/// of the initial memory.
-struct BothRuns {
+/// The executors' outcomes on one program, each against its own copy of
+/// the initial memory. Native is empty when no C toolchain is found.
+struct Runs {
   VmRunResult Tree, Bc;
-  VmMemory TreeMem, BcMem;
+  std::optional<VmRunResult> Native;
+  VmMemory TreeMem, BcMem, NativeMem;
 };
 
-BothRuns runBoth(const PRef &Prog, const VmMemory &Init,
-                 int64_t MaxSteps = int64_t(1) << 28) {
-  BothRuns R;
+/// The native leg's kernel cache: private to this process, removed when
+/// the suite ends.
+const std::string &nativeCacheDir() {
+  static const std::string Dir =
+      (std::filesystem::path(::testing::TempDir()) /
+       ("etch-bytecode-vm-test-" + std::to_string(getpid())))
+          .string();
+  return Dir;
+}
+
+struct RemoveNativeCache : ::testing::Environment {
+  void TearDown() override {
+    std::error_code Ec;
+    std::filesystem::remove_all(nativeCacheDir(), Ec);
+  }
+};
+[[maybe_unused]] ::testing::Environment *const RemoveNativeCacheEnv =
+    ::testing::AddGlobalTestEnvironment(new RemoveNativeCache);
+
+/// True when the native leg can run; otherwise names the skip once.
+bool nativeLegAvailable() {
+  const JitToolchain &Tc = jitToolchain();
+  static std::once_flag Noted;
+  if (!Tc.Available)
+    std::call_once(Noted, [&] {
+      std::fprintf(stderr,
+                   "bytecode_vm_test: native leg skipped, no C toolchain "
+                   "(%s)\n",
+                   Tc.Diag.c_str());
+    });
+  return Tc.Available;
+}
+
+Runs runAll(const PRef &Prog, const VmMemory &Init,
+            int64_t MaxSteps = int64_t(1) << 28) {
+  Runs R;
   R.TreeMem = Init;
   R.BcMem = Init;
+  R.NativeMem = Init;
   R.Tree = vmRun(Prog, R.TreeMem, MaxSteps);
   R.Bc = bytecodeCompileAndRun(Prog, R.BcMem, MaxSteps);
+  if (nativeLegAvailable()) {
+    JitOptions JO;
+    JO.CountSteps = true; // As nativeRunWithFallback compiles it.
+    JO.CacheDir = nativeCacheDir();
+    // A kernel that fails to build would silently fall back to bytecode.
+    std::string Err;
+    EXPECT_TRUE(jitCompile(Prog, JO, &Err)) << "native compile: " << Err;
+    R.Native = nativeRunWithFallback(Prog, R.NativeMem, MaxSteps, JO);
+  }
   return R;
 }
 
@@ -71,42 +127,54 @@ bool bitsEq(const ImpValue &A, const ImpValue &B) {
 
 /// Asserts full observable agreement on a SUCCESSFUL run: steps, no
 /// error, and bit-identical final memory for every name the tree VM
-/// holds that the program could have touched (the bytecode VM writes
-/// back everything it defined).
-void expectSuccessParity(const BothRuns &R,
+/// holds that the program could have touched (the bytecode VM and native
+/// kernels write back everything they defined).
+void expectSuccessParity(const Runs &R,
                          const std::vector<std::string> &Scalars,
                          const std::vector<std::string> &Arrays) {
   ASSERT_FALSE(R.Tree.Error.has_value()) << *R.Tree.Error;
-  ASSERT_FALSE(R.Bc.Error.has_value()) << *R.Bc.Error;
-  EXPECT_EQ(R.Tree.Steps, R.Bc.Steps);
-  for (const std::string &S : Scalars) {
-    auto A = R.TreeMem.getScalar(S), B = R.BcMem.getScalar(S);
-    ASSERT_EQ(A.has_value(), B.has_value()) << "scalar " << S;
-    if (A) {
-      EXPECT_TRUE(bitsEq(*A, *B)) << "scalar " << S;
+  auto Check = [&](const char *Who, const VmRunResult &Got,
+                   const VmMemory &Mem) {
+    ASSERT_FALSE(Got.Error.has_value()) << Who << ": " << *Got.Error;
+    EXPECT_EQ(R.Tree.Steps, Got.Steps) << Who;
+    for (const std::string &S : Scalars) {
+      auto A = R.TreeMem.getScalar(S), B = Mem.getScalar(S);
+      ASSERT_EQ(A.has_value(), B.has_value()) << Who << " scalar " << S;
+      if (A) {
+        EXPECT_TRUE(bitsEq(*A, *B)) << Who << " scalar " << S;
+      }
     }
-  }
-  for (const std::string &Name : Arrays) {
-    const auto *A = R.TreeMem.getArray(Name);
-    const auto *B = R.BcMem.getArray(Name);
-    ASSERT_EQ(A != nullptr, B != nullptr) << "array " << Name;
-    if (!A)
-      continue;
-    ASSERT_EQ(A->size(), B->size()) << "array " << Name;
-    for (size_t I = 0; I < A->size(); ++I)
-      EXPECT_TRUE(bitsEq((*A)[I], (*B)[I]))
-          << "array " << Name << "[" << I << "]";
-  }
+    for (const std::string &Name : Arrays) {
+      const auto *A = R.TreeMem.getArray(Name);
+      const auto *B = Mem.getArray(Name);
+      ASSERT_EQ(A != nullptr, B != nullptr) << Who << " array " << Name;
+      if (!A)
+        continue;
+      ASSERT_EQ(A->size(), B->size()) << Who << " array " << Name;
+      for (size_t I = 0; I < A->size(); ++I)
+        EXPECT_TRUE(bitsEq((*A)[I], (*B)[I]))
+            << Who << " array " << Name << "[" << I << "]";
+    }
+  };
+  Check("bytecode", R.Bc, R.BcMem);
+  if (R.Native)
+    Check("native", *R.Native, R.NativeMem);
 }
 
 /// Error runs compare only the result (the documented contract: after an
-/// error the bytecode VM leaves memory untouched, the tree VM does not).
-void expectErrorParity(const BothRuns &R, const std::string &WantErr) {
+/// error the bytecode VM and native kernels leave memory untouched, the
+/// tree VM does not).
+void expectErrorParity(const Runs &R, const std::string &WantErr) {
   ASSERT_TRUE(R.Tree.Error.has_value());
-  ASSERT_TRUE(R.Bc.Error.has_value());
   EXPECT_EQ(*R.Tree.Error, WantErr);
-  EXPECT_EQ(*R.Bc.Error, *R.Tree.Error);
-  EXPECT_EQ(R.Tree.Steps, R.Bc.Steps);
+  auto Check = [&](const char *Who, const VmRunResult &Got) {
+    ASSERT_TRUE(Got.Error.has_value()) << Who;
+    EXPECT_EQ(*Got.Error, *R.Tree.Error) << Who;
+    EXPECT_EQ(R.Tree.Steps, Got.Steps) << Who;
+  };
+  Check("bytecode", R.Bc);
+  if (R.Native)
+    Check("native", *R.Native);
 }
 
 /// sum = 0; i = 0; while (i < n) { sum += a[i]; i += 1 }; out = sum
@@ -131,7 +199,7 @@ TEST(BytecodeVm, SumLoopMatchesTreeVm) {
   VmMemory Init;
   Init.setScalar("n", int64_t{4});
   Init.setArrayF64("a", {1.5, 2.0, 3.25, 4.0});
-  BothRuns R = runBoth(sumLoopProgram(), Init);
+  Runs R = runAll(sumLoopProgram(), Init);
   expectSuccessParity(R, {"sum", "i", "out", "n"}, {"a"});
   EXPECT_EQ(std::get<double>(*R.BcMem.getScalar("out")), 10.75);
   EXPECT_EQ(R.Bc.Steps, 22);
@@ -141,7 +209,7 @@ TEST(BytecodeVm, ZeroTripLoopAndWriteback) {
   VmMemory Init;
   Init.setScalar("n", int64_t{0});
   Init.setArrayF64("a", {});
-  BothRuns R = runBoth(sumLoopProgram(), Init);
+  Runs R = runAll(sumLoopProgram(), Init);
   expectSuccessParity(R, {"sum", "i", "out", "n"}, {"a"});
   EXPECT_EQ(std::get<double>(*R.BcMem.getScalar("out")), 0.0);
 }
@@ -161,7 +229,7 @@ TEST(BytecodeVm, DeclArrZeroInitAndStores) {
   });
   VmMemory Init;
   Init.setArrayI64("a", {7, -3, 11});
-  BothRuns R = runBoth(Prog, Init);
+  Runs R = runAll(Prog, Init);
   expectSuccessParity(R, {"k"}, {"a", "b"});
   const auto *B = R.BcMem.getArray("b");
   ASSERT_NE(B, nullptr);
@@ -178,11 +246,11 @@ TEST(BytecodeVm, BranchArmStoresStayOnTheirPath) {
                          PStmt::storeVar("e", eConstI(2)));
   };
   VmMemory Init;
-  BothRuns R = runBoth(Prog(eBool(true)), Init);
+  Runs R = runAll(Prog(eBool(true)), Init);
   expectSuccessParity(R, {"t", "e"}, {});
   EXPECT_TRUE(R.BcMem.getScalar("t").has_value());
   EXPECT_FALSE(R.BcMem.getScalar("e").has_value());
-  BothRuns R2 = runBoth(Prog(eBool(false)), Init);
+  Runs R2 = runAll(Prog(eBool(false)), Init);
   expectSuccessParity(R2, {"t", "e"}, {});
   EXPECT_FALSE(R2.BcMem.getScalar("t").has_value());
 }
@@ -204,7 +272,7 @@ TEST(BytecodeVm, LazyOpsGuardOutOfBounds) {
   });
   VmMemory Init;
   Init.setArrayI64("a", {1, 2});
-  BothRuns R = runBoth(Prog, Init);
+  Runs R = runAll(Prog, Init);
   expectSuccessParity(R, {"g", "h", "s"}, {"a"});
   EXPECT_EQ(std::get<bool>(*R.BcMem.getScalar("g")), false);
   EXPECT_EQ(std::get<bool>(*R.BcMem.getScalar("h")), true);
@@ -219,11 +287,11 @@ TEST(BytecodeVm, OutOfBoundsAccessParity) {
   PRef Prog = PStmt::storeVar("out", eAccI("a", eConstI(10)));
   VmMemory Init;
   Init.setArrayI64("a", {1, 2, 3});
-  expectErrorParity(runBoth(Prog, Init),
+  expectErrorParity(runAll(Prog, Init),
                     "out-of-bounds access a[10], size 3");
   // Negative indices report through the same path.
   PRef Neg = PStmt::storeVar("out", eAccI("a", eConstI(-1)));
-  expectErrorParity(runBoth(Neg, Init),
+  expectErrorParity(runAll(Neg, Init),
                     "out-of-bounds access a[-1], size 3");
 }
 
@@ -231,18 +299,18 @@ TEST(BytecodeVm, OutOfBoundsStoreParity) {
   PRef Prog = PStmt::storeArr("a", eConstI(7), eConstI(0));
   VmMemory Init;
   Init.setArrayI64("a", {1, 2, 3});
-  expectErrorParity(runBoth(Prog, Init), "out-of-bounds store a[7], size 3");
+  expectErrorParity(runAll(Prog, Init), "out-of-bounds store a[7], size 3");
 }
 
 TEST(BytecodeVm, UndefinedNameParity) {
   VmMemory Empty;
-  expectErrorParity(runBoth(PStmt::storeVar("out", eVarI("nope")), Empty),
+  expectErrorParity(runAll(PStmt::storeVar("out", eVarI("nope")), Empty),
                     "read of undefined variable 'nope'");
   expectErrorParity(
-      runBoth(PStmt::storeVar("out", eAccI("gone", eConstI(0))), Empty),
+      runAll(PStmt::storeVar("out", eAccI("gone", eConstI(0))), Empty),
       "access of undefined array 'gone'");
   expectErrorParity(
-      runBoth(PStmt::storeArr("gone", eConstI(0), eConstI(1)), Empty),
+      runAll(PStmt::storeArr("gone", eConstI(0), eConstI(1)), Empty),
       "store to undefined array 'gone'");
 }
 
@@ -251,7 +319,7 @@ TEST(BytecodeVm, UndefinedArrayReportedBeforeBadIndex) {
   // expression, even when the index itself would fail.
   VmMemory Empty;
   expectErrorParity(
-      runBoth(PStmt::storeVar("out", eAccI("gone", eVarI("alsogone"))),
+      runAll(PStmt::storeVar("out", eAccI("gone", eVarI("alsogone"))),
               Empty),
       "access of undefined array 'gone'");
 }
@@ -259,7 +327,7 @@ TEST(BytecodeVm, UndefinedArrayReportedBeforeBadIndex) {
 TEST(BytecodeVm, NegativeArraySizeParity) {
   VmMemory Empty;
   expectErrorParity(
-      runBoth(PStmt::declArr("b", ImpType::F64, eConstI(-4)), Empty),
+      runAll(PStmt::declArr("b", ImpType::F64, eConstI(-4)), Empty),
       "negative array size for 'b'");
 }
 
@@ -269,7 +337,7 @@ TEST(BytecodeVm, StepBudgetParity) {
       PStmt::whileLoop(eBool(true),
                        PStmt::storeVar("x", eAddI(eVarI("x"), eConstI(1)))));
   VmMemory Empty;
-  BothRuns R = runBoth(Spin, Empty, /*MaxSteps=*/100);
+  Runs R = runAll(Spin, Empty, /*MaxSteps=*/100);
   expectErrorParity(R, "step budget exhausted (possible non-termination)");
   // The budget-crossing charge itself is counted: Steps = MaxSteps + 1.
   EXPECT_EQ(R.Bc.Steps, 101);
@@ -304,6 +372,78 @@ TEST(BytecodeVm, GoldenDisassembly) {
             "  18: mov.f out, sum\n"
             "  19: setdef out\n"
             "  20: halt\n");
+}
+
+//===----------------------------------------------------------------------===//
+// One definedness policy: kernel guards sit exactly where bytecode checks
+//===----------------------------------------------------------------------===//
+
+size_t countOf(const std::string &Text, const std::string &Pat) {
+  size_t N = 0;
+  for (size_t At = Text.find(Pat); At != std::string::npos;
+       At = Text.find(Pat, At + 1))
+    ++N;
+  return N;
+}
+
+/// Expects \p Prog's kernel to guard `d_x` once per bytecode `chkdef` and
+/// `ad_A` once per `chkarr`; returns the kernel source.
+std::string expectGuardsMatchChecks(const PRef &Prog,
+                                    const std::string &Label) {
+  BytecodeProgram BC = compileBytecode(Prog);
+  EXPECT_TRUE(BC.ok()) << Label << ": " << BC.CompileError;
+  std::optional<CKernelManifest> M = deriveKernelManifest(Prog);
+  if (!M) {
+    ADD_FAILURE() << Label << ": no kernel manifest";
+    return {};
+  }
+  std::string C = emitCKernel(Prog, *M);
+  std::string Dis = BC.disassemble();
+  EXPECT_EQ(countOf(C, "if (!d_"), countOf(Dis, "chkdef")) << Label;
+  EXPECT_EQ(countOf(C, "if (!ad_"), countOf(Dis, "chkarr")) << Label;
+  return C;
+}
+
+TEST(BytecodeVm, KernelGuardsSitWhereBytecodeChecks) {
+  // The golden program reads one external scalar, n.
+  std::string Golden = expectGuardsMatchChecks(sumLoopProgram(), "golden");
+  EXPECT_EQ(countOf(Golden, "if (!d_"), 1u);
+
+  // The four bench_serve shapes, on its data, prepared as served (O2).
+  Attr I = Attr::named("bvm_si"), J = Attr::named("bvm_sj");
+  Rng R(131);
+  TensorCatalog Cat;
+  Cat.putCsr("A", randomCsr(R, 2000, 2000, 40000), I, J);
+  Cat.putSparse("x", randomSparseVector(R, 2000, 400), J);
+  Cat.putSparse("y", randomSparseVector(R, 2000, 600), I);
+  Cat.putSparse("z", randomSparseVector(R, 2000, 600), I);
+  Cat.putSparse("w", randomSparseVector(R, 2000, 600), I);
+  DenseVector<double> D(2000);
+  for (double &V : D.Val)
+    V = randomValue(R);
+  Cat.putDense("d", std::move(D), J);
+  PrepareOptions PO;
+  PO.UseNative = false;
+  TensorResolver Resolve = snapshotResolver(Cat.snapshot());
+  for (const std::vector<std::string> &Shape :
+       {std::vector<std::string>{"A", "x"}, {"y", "z", "w"}, {"A", "d"},
+        {"x", "d"}}) {
+    std::string Label = "sum of";
+    for (const std::string &F : Shape)
+      Label += " " + F;
+    std::string Err;
+    CachedPlanRef P =
+        prepareContraction("k", Shape, Resolve, PO, nullptr, &Err);
+    ASSERT_TRUE(P) << Label << ": " << Err;
+    std::string C = expectGuardsMatchChecks(P->Prog, Label);
+    if (Shape == std::vector<std::string>{"A", "x"}) {
+      // No definedness guard survives, and every access keeps its bounds
+      // check.
+      EXPECT_EQ(countOf(C, "if (!d_"), 0u);
+      EXPECT_EQ(countOf(C, "if (!ad_"), 0u);
+      EXPECT_EQ(countOf(C, " >= n_"), 24u);
+    }
+  }
 }
 
 TEST(BytecodeVm, CompileErrorOnIllTypedProgram) {
@@ -346,7 +486,7 @@ TEST(BytecodeVm, Fig2CompiledParityAtAllOptLevels) {
     bindSparseVector(Init, "x", X);
     bindSparseVector(Init, "y", Y);
     bindSparseVector(Init, "z", Z);
-    BothRuns R = runBoth(Prog, Init);
+    Runs R = runAll(Prog, Init);
     expectSuccessParity(R, {"out"}, {});
     EXPECT_EQ(std::get<double>(*R.BcMem.getScalar("out")), 90.0)
         << "O" << Opt;

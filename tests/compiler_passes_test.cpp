@@ -282,6 +282,30 @@ TEST(Passes, HoistingAvoidsExternalNamesAndIsDeterministic) {
   EXPECT_EQ(hoistLoopInvariantsPass(Loop)->toString(), R1->toString());
 }
 
+TEST(Passes, HoistingKeepsUnboundExternalReadsInZeroTripLoops) {
+  // while (p < 0) { p = p + (x + 1) } with p = 5 never runs its body, so
+  // it never reads the unbound external x. x + 1 is invariant and built
+  // from total ops, but an external is not defined until stored: hoisting
+  // it in front of the loop would make the succeeding program fail with
+  // "read of undefined variable 'x'".
+  PRef Loop = PStmt::whileLoop(
+      eLtI(eVarI("p"), eConstI(0)),
+      PStmt::storeVar("p",
+                      eAddI(eVarI("p"), eAddI(eVarI("x"), eConstI(1)))));
+  PipelineOptions O2;
+  O2.OptLevel = 2;
+  for (const auto &[Name, Prog] :
+       {std::pair<const char *, PRef>{"unoptimized", Loop},
+        {"licm", hoistLoopInvariantsPass(Loop)},
+        {"O2", optimizeProgram(Loop, O2).Program}}) {
+    VmMemory M;
+    M.setScalar("p", int64_t{5});
+    VmRunResult R = vmRun(Prog, M);
+    EXPECT_FALSE(R.Error.has_value()) << Name << ": " << *R.Error;
+    EXPECT_EQ(std::get<int64_t>(*M.getScalar("p")), 5) << Name;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Verifier
 //===----------------------------------------------------------------------===//
